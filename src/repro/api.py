@@ -30,6 +30,7 @@ from repro.exec.cache import CacheConfig, LRUCache
 from repro.exec.engine import execute, make_runtime, validate_top_k
 from repro.exec.iterator import ExecutionMetrics, pull_doc
 from repro.exec.limits import QueryGuard, QueryLimits
+from repro.exec.parallel import ParallelResult, note_fallback, run_plan
 from repro.exec.topk import rank_join_applicable, rank_topk
 from repro.obs.telemetry import current as _telemetry_current
 from repro.obs.telemetry import maybe_span as _maybe_span
@@ -96,10 +97,10 @@ class SearchOutcome:
     ``shard_count``/``shards_pruned`` describe parallel execution: how
     many index shards the engine was configured with and how many of
     them partition pruning skipped (1 and 0 for serial execution).
-    ``executor`` names the execution driver that actually ran this
-    query — ``"serial"``, ``"thread"``, or ``"process"`` — which can
-    differ from the engine's configured executor when the process path
-    fell back to threads (docs/PERFORMANCE.md).  ``plan_cached`` is
+    ``executor`` names what actually ran this query — ``"serial"``,
+    ``"thread"``, or ``"process"`` — which can differ from the engine's
+    configured executor when a process query ran in-process
+    (docs/PERFORMANCE.md).  ``plan_cached`` is
     True when parse+optimize was skipped via the plan cache;
     ``result_cached`` is True when the whole outcome was answered from
     the result cache (no execution happened at all).
@@ -174,18 +175,17 @@ class SearchEngine:
                 (:class:`repro.exec.cache.CacheConfig`).  ``None``
                 enables the default plan cache with the result cache
                 off; pass :meth:`CacheConfig.off` to disable both.
-            executor: Parallel execution driver for sharded plans:
-                ``"thread"`` (in-process pool), ``"process"`` (worker
-                processes attached to a shared-memory packed index —
-                the only driver that escapes the GIL;
-                docs/PERFORMANCE.md), or ``"serial"`` (pin execution
-                serial even when ``shards > 1``).  ``None`` reads the
-                ``REPRO_EXEC`` environment variable (default thread).
-                The process driver falls back to threads — recorded on
-                the ``graft_proc_fallbacks_total`` metric — for
-                profiled searches, engines with a scoring-context
-                override, and environments where shared memory or
-                worker processes are unavailable.
+            executor: Backend for sharded plans: ``"thread"``
+                (in-process pool), ``"process"`` (worker processes
+                attached to a shared-memory packed index — the only
+                one that escapes the GIL; docs/PERFORMANCE.md), or
+                ``"serial"`` (pin execution serial even when
+                ``shards > 1``).  ``None`` reads the ``REPRO_EXEC``
+                environment variable (default thread).  A process query
+                runs in-process instead — recorded on the
+                ``graft_proc_fallbacks_total`` metric — for engines
+                with a scoring-context override, and where shared
+                memory or worker processes are unavailable.
         """
         self.collection = (
             collection if collection is not None else DocumentCollection(analyzer)
@@ -313,13 +313,11 @@ class SearchEngine:
     def _process_pool(self):
         """The worker pool bound to the current sealed index, or None.
 
-        Built lazily by the first process-path query: the object index
-        is packed (:func:`repro.index.packed.pack_index`), published
-        once in shared memory, and the workers attach zero-copy.  A
-        rebuilt index or changed shard count invalidates the pool the
-        same way it invalidates ``_sharded``.  Returns None — caller
-        falls back to the thread driver — when packing or worker
-        startup fails; the failure is latched so the probe runs once.
+        Started lazily by the first process-path query; a rebuilt index,
+        a changed shard count or a pool retired after its workers died
+        invalidates it the way a mutation invalidates ``_sharded``.
+        None — the query runs in-process — once a start has failed: the
+        failure is latched so the probe runs once.
         """
         index = self.index
         if self._procpool is not None and (
@@ -328,71 +326,17 @@ class SearchEngine:
             or self._procpool.closed
         ):
             self._close_procpool()
-        if self._procpool is None:
-            if self._proc_unavailable:
-                return None
-            from repro.exec.procpool import (
-                ProcessShardPool,
-                ProcPoolUnavailableError,
-                default_worker_count,
-            )
-            from repro.index.packed import pack_index
+        if self._procpool is None and not self._proc_unavailable:
+            from repro.exec.procpool import ProcPoolUnavailableError, start_pool
 
             try:
-                blob = pack_index(index)
-                self._procpool = ProcessShardPool(
-                    blob,
-                    self._shards,
-                    max_workers=default_worker_count(self._shards),
-                )
-            except (ProcPoolUnavailableError, GraftError) as exc:
+                self._procpool = start_pool(index, self._shards)
+            except ProcPoolUnavailableError as exc:
                 self._proc_unavailable = True
-                _note_proc_fallback("pool_unavailable")
-                import warnings
-
-                warnings.warn(
-                    f"process executor unavailable ({exc}); "
-                    f"falling back to threads",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
+                note_fallback("pool_unavailable", exc)
                 return None
             self._procpool_base = index
         return self._procpool
-
-    def _execute_process(self, plan, scheme, info, top_k, limits):
-        """Attempt one query on the process driver; None = use threads.
-
-        Limit trips and other :class:`GraftError`\\ s propagate (they
-        are query outcomes, not infrastructure failures).  Submission
-        failures (unpicklable plan) and broken worker pools degrade to
-        the thread path — same scores, just slower.
-        """
-        pool = self._process_pool()
-        if pool is None:
-            return None
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.exec.procpool import (
-            ProcPoolUnavailableError,
-            execute_sharded_process,
-        )
-
-        try:
-            return execute_sharded_process(
-                pool, self._sharded_index(), plan, scheme, info,
-                top_k=top_k, limits=limits,
-            )
-        except ProcPoolUnavailableError:
-            _note_proc_fallback("submit")
-            return None
-        except BrokenProcessPool:
-            # Workers died (OOM-kill, signal).  The publication may be
-            # gone with them; drop the pool so the next process-path
-            # query rebuilds it from the still-good object index.
-            self._close_procpool()
-            _note_proc_fallback("broken_pool")
-            return None
 
     def cache_stats(self) -> dict:
         """Hit/miss/size counters of both cache tiers (JSON-ready)."""
@@ -545,10 +489,11 @@ class SearchEngine:
                     query, scheme, self.index, top_k, ctx, guard=guard
                 )
             elapsed = time.perf_counter() - started
-            metrics = ExecutionMetrics(rows_charged=guard.rows_charged)
-            outcome = self._outcome(
-                pairs, ["rank-join-topk"], metrics, "", guard.tripped
+            run = ParallelResult(
+                pairs, ExecutionMetrics(rows_charged=guard.rows_charged),
+                guard.tripped,
             )
+            outcome = self._outcome(run, ["rank-join-topk"], "")
             with _maybe_span(rt, "audit"):
                 self._maybe_audit(
                     query, query_text, scheme, ctx, outcome, top_k, faults
@@ -571,99 +516,30 @@ class SearchEngine:
                 plan_cache_misses(REGISTRY).child().inc()
                 self._plan_cache.put(plan_key, (query, result))
 
-        # Fault injection pins execution to the serial path: its
-        # fail-at-Nth-call counters are only deterministic when exactly
-        # one plan executes.  An engine configured executor="serial"
-        # likewise never shards, whatever REPRO_SHARDS says.
-        parallel = (
-            self._shards > 1 and faults is None
-            and self._executor != "serial"
-        )
         started = time.perf_counter()
-        if parallel:
-            from repro.exec.parallel import execute_sharded
-
-            used_executor = "thread"
-            try:
-                par = None
-                if self._executor == "process":
-                    # The process driver cannot trace per-operator (no
-                    # trace objects cross the pickle boundary) and
-                    # workers rescore from the shared index, so a
-                    # scoring-context override must stay in-process.
-                    if profile or self._ctx_override is not None:
-                        _note_proc_fallback(
-                            "profile" if profile else "ctx_override"
-                        )
-                    else:
-                        par = self._execute_process(
-                            result.plan, scheme, result.info, top_k, limits
-                        )
-                        if par is not None:
-                            used_executor = "process"
-                if par is None:
-                    par = execute_sharded(
-                        self._sharded_index(), result.plan, scheme,
-                        result.info, ctx, top_k=top_k, limits=limits,
-                        profile=profile,
-                    )
-            except GraftError:
-                self._record_query(
-                    query_text, scheme.name, None,
-                    time.perf_counter() - started, top_k,
-                )
-                raise
-            elapsed = time.perf_counter() - started
-            outcome = self._outcome(
-                par.results,
-                list(result.applied),
-                par.metrics,
-                explain_plan(result.plan),
-                par.tripped,
+        try:
+            run = run_plan(
+                self.index, result.plan, scheme, result.info, self._ctx_override,
+                top_k=top_k, limits=limits, profile=profile, faults=faults,
+                executor=self._executor, shards=self._shards,
+                sharded=self._sharded_index, pool=self._process_pool,
             )
-            outcome.shard_count = par.shard_count
-            outcome.shards_pruned = par.shards_pruned
-            outcome.executor = used_executor
-            if profile and par.trace_root is not None:
-                from repro.obs.analyze import annotate_estimates
-
-                annotate_estimates(par.trace_root, self.index)
-                outcome.stats = par.trace_root
-                outcome.wall_ms = elapsed * 1000.0
-        else:
-            tracer = None
-            if profile:
-                from repro.obs.trace import Tracer
-
-                tracer = Tracer()
-            runtime = make_runtime(
-                self.index, scheme, result.info, ctx,
-                limits=limits, faults=faults, tracer=tracer,
+        except GraftError:
+            self._record_query(
+                query_text, scheme.name, None,
+                time.perf_counter() - started, top_k,
             )
-            try:
-                with _maybe_span(rt, "execute"):
-                    pairs = execute(result.plan, runtime, top_k=top_k)
-            except GraftError:
-                self._record_query(
-                    query_text, scheme.name, None,
-                    time.perf_counter() - started, top_k,
-                )
-                raise
-            elapsed = time.perf_counter() - started
-            runtime.metrics.rows_charged = runtime.guard.rows_charged
-            outcome = self._outcome(
-                pairs,
-                list(result.applied),
-                runtime.metrics,
-                explain_plan(result.plan),
-                runtime.guard.tripped,
-            )
-            if tracer is not None and tracer.root is not None:
-                from repro.obs.analyze import annotate_estimates
+            raise
+        elapsed = time.perf_counter() - started
+        outcome = self._outcome(
+            run, list(result.applied), explain_plan(result.plan)
+        )
+        if run.trace_root is not None:
+            from repro.obs.analyze import annotate_estimates
 
-                annotate_estimates(tracer.root, self.index)
-                outcome.stats = tracer.root
-                outcome.wall_ms = tracer.total_ns / 1e6
+            annotate_estimates(run.trace_root, self.index)
+            outcome.stats = run.trace_root
+            outcome.wall_ms = run.wall_ms
         outcome.rewrite_log = list(result.rewrites)
         outcome.plan_cached = cached_plan is not None
         if rt is not None and outcome.shard_count:
@@ -801,24 +677,23 @@ class SearchEngine:
             )
 
     def _outcome(
-        self,
-        pairs: list[tuple[int, float]],
-        applied: list[str],
-        metrics: ExecutionMetrics,
-        plan_text: str,
-        tripped: str | None,
+        self, run: ParallelResult, applied: list[str], plan_text: str
     ) -> SearchOutcome:
-        degraded = tripped is not None
+        """The public outcome of one plan run (what ran, and how)."""
+        degraded = run.tripped is not None
         if degraded:
-            metrics.limit_tripped = tripped
-            applied.append(f"limit:{tripped}")
+            run.metrics.limit_tripped = run.tripped
+            applied.append(f"limit:{run.tripped}")
         return SearchOutcome(
-            results=self._wrap(pairs),
+            results=self._wrap(run.results),
             applied_optimizations=applied,
-            metrics=metrics,
+            metrics=run.metrics,
             plan_text=plan_text,
             degraded=degraded,
-            limit_hit=tripped,
+            limit_hit=run.tripped,
+            shard_count=run.shard_count,
+            shards_pruned=run.shards_pruned,
+            executor=run.executor,
         )
 
     def match_table(
@@ -1250,63 +1125,47 @@ class SearchEngine:
         return out
 
 
-def _resolve_shards(shards: int | None) -> int:
-    """Validate an explicit shard count, or read ``REPRO_SHARDS``.
+def _resolve_option(value, option, env, default, parse, valid, want):
+    """An explicit engine option, or its environment variable.
 
     Misconfiguration raises a typed :class:`repro.errors.ConfigError` at
-    engine construction — a non-integer or negative environment value
-    must never surface as an unhandled ``ValueError`` from deep inside
-    ``_sharded_index`` on the first query.
+    engine construction, naming the option or variable at fault — a bad
+    environment value must never surface as an unhandled ``ValueError``
+    from deep inside the first sharded query.
     """
-    option = "shards"
-    if shards is None:
-        raw = os.environ.get("REPRO_SHARDS", "").strip()
+    if value is None:
+        raw = os.environ.get(env, "").strip()
         if not raw:
-            return 1
-        option = "REPRO_SHARDS"
+            return default
+        option = env
         try:
-            shards = int(raw)
+            value = parse(raw)
         except ValueError:
-            raise ConfigError(
-                f"must be a positive integer, got {raw!r}", option=option
-            ) from None
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ConfigError(
-            f"must be a positive integer, got {shards!r}", option=option
-        )
-    return shards
+            value = raw
+    if not valid(value):
+        raise ConfigError(f"must be {want}, got {value!r}", option=option)
+    return value
+
+
+def _resolve_shards(shards: int | None) -> int:
+    """Validate an explicit shard count, or read ``REPRO_SHARDS``."""
+    return _resolve_option(
+        shards, "shards", "REPRO_SHARDS", 1, int,
+        lambda n: isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+        "a positive integer",
+    )
 
 
 _EXECUTORS = ("serial", "thread", "process")
 
 
 def _resolve_executor(executor: str | None) -> str:
-    """Validate an explicit executor name, or read ``REPRO_EXEC``.
-
-    Mirrors :func:`_resolve_shards`: misconfiguration is a typed
-    :class:`repro.errors.ConfigError` at engine construction, not a
-    surprise deep inside the first sharded query.
-    """
-    option = "executor"
-    if executor is None:
-        raw = os.environ.get("REPRO_EXEC", "").strip().lower()
-        if not raw:
-            return "thread"
-        option = "REPRO_EXEC"
-        executor = raw
-    if not isinstance(executor, str) or executor not in _EXECUTORS:
-        raise ConfigError(
-            f"must be one of {', '.join(_EXECUTORS)}, got {executor!r}",
-            option=option,
-        )
-    return executor
-
-
-def _note_proc_fallback(reason: str) -> None:
-    """Count one process-to-thread fallback, labeled by why."""
-    from repro.obs.metrics import REGISTRY, proc_fallbacks
-
-    proc_fallbacks(REGISTRY).labels(reason=reason).inc()
+    """Validate an explicit executor name, or read ``REPRO_EXEC``."""
+    return _resolve_option(
+        executor, "executor", "REPRO_EXEC", "thread", str.lower,
+        lambda name: name in _EXECUTORS,
+        f"one of {', '.join(_EXECUTORS)}",
+    )
 
 
 def _options_key(options: OptimizerOptions | None) -> tuple | None:

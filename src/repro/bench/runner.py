@@ -109,11 +109,16 @@ def run_parallel_throughput(
       cold, with ``use_cache=False``), quantifying what skipping
       parse→canonicalize→optimize is worth on repeated query text.
     """
-    import os
-
     from repro.api import SearchEngine
     from repro.exec.cache import CacheConfig
     from repro.exec.parallel import execute_sharded
+    from repro.exec.procpool import (
+        ProcessShardPool,
+        ProcPoolUnavailableError,
+        default_worker_count,
+        execute_sharded_process,
+        schedulable_cores,
+    )
     from repro.index.shard import ShardedIndex
     from repro.sa.context import IndexScoringContext
 
@@ -132,7 +137,7 @@ def run_parallel_throughput(
         "queries": len(optimized),
         "repeats": repeats,
         "kept": kept,
-        "cores": os.cpu_count(),
+        "cores": schedulable_cores(),
     }
 
     for count in shard_counts:
@@ -168,12 +173,6 @@ def run_parallel_throughput(
         )
 
     # -- process legs: the same pass on shared-memory worker processes --
-    from repro.exec.procpool import (
-        ProcessShardPool,
-        ProcPoolUnavailableError,
-        default_worker_count,
-        execute_sharded_process,
-    )
     from repro.index.packed import PackedIndex, pack_index
 
     blob = pack_index(fx.index)

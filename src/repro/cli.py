@@ -52,6 +52,7 @@ from repro.corpus.collection import DocumentCollection
 from repro.errors import GraftError
 from repro.exec.engine import execute, make_runtime
 from repro.exec.limits import QueryLimits
+from repro.exec.parallel import run_plan
 from repro.graft.explain import explain as explain_plan
 from repro.graft.optimizer import Optimizer
 from repro.index.index import Index
@@ -60,6 +61,20 @@ from repro.mcalc.parser import parse_query
 from repro.sa.registry import available_schemes, get_scheme
 
 _TITLES = "titles.json"
+
+
+def _add_sharding_options(p: argparse.ArgumentParser) -> None:
+    """``--shards`` / ``--executor``: the same pair on search and serve."""
+    p.add_argument("--shards", type=int, default=None,
+                   help="execute plans across N contiguous doc-id shards "
+                        "with a score-consistent top-k merge (default: "
+                        "REPRO_SHARDS or 1 = serial)")
+    p.add_argument("--executor", choices=("serial", "thread", "process"),
+                   default=None,
+                   help="backend for sharded execution: thread pool, "
+                        "worker processes over a shared-memory packed "
+                        "index, or pinned serial (default: REPRO_EXEC or "
+                        "thread)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,18 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit one JSON object on stdout instead of text")
         if name == "search":
-            p.add_argument("--shards", type=int, default=None,
-                           help="execute the plan across N contiguous "
-                                "doc-id shards with a score-consistent "
-                                "top-k merge (default: REPRO_SHARDS or "
-                                "1 = serial)")
-            p.add_argument("--executor",
-                           choices=("serial", "thread", "process"),
-                           default=None,
-                           help="parallel driver for sharded execution: "
-                                "thread pool, worker processes over a "
-                                "shared-memory packed index, or pinned "
-                                "serial (default: REPRO_EXEC or thread)")
+            _add_sharding_options(p)
             p.add_argument("--profile", action="store_true",
                            help="trace execution and print EXPLAIN ANALYZE "
                                 "(per-operator actuals vs. estimates)")
@@ -247,16 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--deadline-ms", type=float, default=1000.0,
                          help="default per-request budget, queue wait "
                               "included (default 1000)")
-    p_serve.add_argument("--shards", type=int, default=None,
-                         help="shard count for reader engines "
-                              "(default REPRO_SHARDS or serial)")
-    p_serve.add_argument("--executor",
-                         choices=("serial", "thread", "process"),
-                         default=None,
-                         help="parallel driver for reader engines: thread "
-                              "pool, worker processes over a shared-memory "
-                              "packed index, or pinned serial (default "
-                              "REPRO_EXEC or thread)")
+    _add_sharding_options(p_serve)
     p_serve.add_argument("--workers", type=int, default=None,
                          help="search executor width: threads serving "
                               "requests (default --max-inflight); the "
@@ -464,103 +459,21 @@ def _limits_from_args(args: argparse.Namespace) -> QueryLimits | None:
     )
 
 
-def _search_process(sharded, scheme, result, args, limits):
-    """One-shot process-pool execution for ``search --executor process``.
-
-    Packs the loaded index, publishes it in shared memory, runs the
-    query on worker processes, and tears the pool down.  Returns None —
-    the caller falls back to the thread driver — when the environment
-    cannot run worker processes or the plan cannot cross the pickle
-    boundary; scores are identical either way.
-    """
-    from repro.errors import IndexError_
-    from repro.exec.procpool import (
-        ProcessShardPool,
-        ProcPoolUnavailableError,
-        default_worker_count,
-        execute_sharded_process,
-    )
-    from repro.index.packed import pack_index
-
-    try:
-        pool = ProcessShardPool(
-            pack_index(sharded.base),
-            sharded.num_shards,
-            max_workers=default_worker_count(sharded.num_shards),
-        )
-    except (ProcPoolUnavailableError, IndexError_) as exc:
-        _warn(f"process executor unavailable ({exc}); "
-              f"falling back to threads")
-        return None
-    try:
-        return execute_sharded_process(
-            pool, sharded, result.plan, scheme, result.info,
-            top_k=args.top_k, limits=limits,
-        )
-    except ProcPoolUnavailableError as exc:
-        _warn(f"process submission failed ({exc}); "
-              f"falling back to threads")
-        return None
-    finally:
-        pool.close()
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.api import _resolve_executor, _resolve_shards
 
     index, titles = _load(args)
     scheme, result = _optimize(args, index)
-    shards = _resolve_shards(args.shards)
-    executor = _resolve_executor(args.executor)
-    limits = _limits_from_args(args)
-    trace_root = None
-    total_ns = None
-    shard_note = None
-    if shards > 1 and executor != "serial":
-        import time
-
-        from repro.exec.parallel import execute_sharded
-        from repro.index.shard import ShardedIndex
-        from repro.sa.context import IndexScoringContext
-
-        sharded = ShardedIndex(index, shards)
-        started = time.perf_counter_ns()
-        par = None
-        used_executor = "thread"
-        if executor == "process" and not args.profile:
-            par = _search_process(sharded, scheme, result, args, limits)
-            if par is not None:
-                used_executor = "process"
-        if par is None:
-            par = execute_sharded(
-                sharded, result.plan, scheme, result.info,
-                IndexScoringContext(index), top_k=args.top_k,
-                limits=limits, profile=args.profile,
-            )
-        if args.profile:  # the contract: no --profile, no wall time
-            total_ns = time.perf_counter_ns() - started
-        ranked = par.results
-        metrics = par.metrics
-        limit_hit = par.tripped
-        trace_root = par.trace_root
-        shard_note = {"shards": par.shard_count,
-                      "shards_pruned": par.shards_pruned,
-                      "executor": used_executor}
-    else:
-        tracer = None
-        if args.profile:
-            from repro.obs.trace import Tracer
-
-            tracer = Tracer()
-        runtime = make_runtime(index, scheme, result.info,
-                               limits=limits, tracer=tracer)
-        ranked = execute(result.plan, runtime, top_k=args.top_k)
-        runtime.metrics.rows_charged = runtime.guard.rows_charged
-        metrics = runtime.metrics
-        limit_hit = runtime.guard.tripped
-        if tracer is not None:
-            trace_root = tracer.root
-            total_ns = tracer.total_ns
+    run = run_plan(
+        index, result.plan, scheme, result.info,
+        top_k=args.top_k, limits=_limits_from_args(args),
+        profile=args.profile,
+        executor=_resolve_executor(args.executor),
+        shards=_resolve_shards(args.shards),
+    )
+    ranked = run.results
+    limit_hit = run.tripped
+    trace_root = run.trace_root
     if limit_hit is not None:
         print(f"note: partial results — {limit_hit} limit hit",
               file=sys.stderr)
@@ -600,19 +513,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "applied_optimizations": list(result.applied),
             "degraded": limit_hit is not None,
             "limit_hit": limit_hit,
-            "metrics": metrics.as_dict(),
+            "metrics": run.metrics.as_dict(),
             "trace": (
                 trace_root.to_dict() if trace_root is not None else None
             ),
-            "wall_ms": (
-                total_ns / 1e6 if total_ns is not None else None
-            ),
+            "wall_ms": run.wall_ms,  # the contract: no --profile, no wall time
             "audit": (
                 audit_event.to_dict() if audit_event is not None else None
             ),
         }
-        if shard_note is not None:
-            payload.update(shard_note)
+        if run.executor != "serial":
+            payload.update(shards=run.shard_count,
+                           shards_pruned=run.shards_pruned,
+                           executor=run.executor)
         print(json.dumps(payload))
         if audit_event is not None and not audit_event.ok:
             print(f"error: {audit_event.describe()}", file=sys.stderr)
@@ -622,15 +535,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print("no matches")
     for rank, (doc, score) in enumerate(ranked, start=1):
         print(f"{rank:3}. {score:10.4f}  [{doc}] {title_of(doc)}")
-    if shard_note is not None:
-        print(f"({shard_note['shards']} shards, "
-              f"{shard_note['shards_pruned']} pruned, "
-              f"{shard_note['executor']} executor)", file=sys.stderr)
+    if run.executor != "serial":
+        print(f"({run.shard_count} shards, {run.shards_pruned} pruned, "
+              f"{run.executor} executor)", file=sys.stderr)
     if trace_root is not None:
         from repro.obs.analyze import render_analyze
 
         print()
-        print(render_analyze(trace_root, total_ns=total_ns))
+        print(render_analyze(trace_root, total_ns=int(run.wall_ms * 1e6)))
     if audit_event is not None:
         print()
         print(audit_event.describe())

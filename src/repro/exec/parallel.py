@@ -1,11 +1,25 @@
-"""Parallel sharded plan execution with a score-consistent top-k merge.
+"""The plan runner: serial inline, or sharded with an exact top-k merge.
 
-The driver takes one *logical* plan (optimized once, against the global
-index, so every shard runs the exact plan serial execution would run),
-compiles one *physical* plan per live shard — each scanning only its
-shard's slice of the postings lists while scoring through the global
-:class:`repro.sa.context.ScoringContext` — runs the shards on a
-``ThreadPoolExecutor``, and heap-merges the per-shard ranked outputs.
+One *logical* plan (optimized once, against the global index, so every
+shard runs the exact plan serial execution would run) has one physical
+seam, written once:
+
+* :func:`run_plan` — what ``SearchEngine.search`` and ``repro search``
+  call: serial inline, or sharded through :func:`run_shards`, and the
+  one place a query that asked for worker processes is sent back to
+  this process (counted on ``graft_proc_fallbacks_total``).
+* :func:`run_shards` — the shard protocol (prune, one absolute deadline,
+  split ``max_rows``, submit, collect, heap-merge, fold metrics),
+  parameterized only by a *backend*: ``submit(shard, limits,
+  deadline_at) -> Future`` and ``cancel()``.  :class:`ThreadBackend` is
+  here; :class:`repro.exec.procpool.ProcessBackend` runs shards on
+  worker processes (1.5x serial on graftbench, where threads measure
+  0.85x under the GIL — threads are the in-process fallback and the
+  tests' reference for the merge, not a way to go faster).
+* :func:`run_shard` — the per-shard body both backends execute over the
+  shard's slice of the postings lists, scoring through the *global*
+  :class:`repro.sa.context.ScoringContext`; returns one picklable
+  :class:`ShardRun`.
 
 Why the merge is exact (not approximate, unlike quantized WAND-style
 distribution): shard doc ranges are disjoint and tile the collection,
@@ -33,8 +47,10 @@ Failure semantics mirror the serial engine: with ``on_limit="partial"``
 each tripped shard contributes the correctly-ranked prefix it scored
 and the merged outcome is flagged degraded; with ``on_limit="error"``
 (and for non-resource errors such as operator faults) the first failure
-cancels the remaining shards via a shared cancellation token checked at
-guard tick sites, and the original error propagates.
+stops the rest — queued shards are cancelled, running in-process shards
+see a shared cancellation token at their guard tick sites — and the
+first real error in shard order propagates, never a secondary
+cancellation.
 """
 
 from __future__ import annotations
@@ -42,11 +58,19 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+import warnings
+from concurrent.futures import (
+    FIRST_EXCEPTION,
+    CancelledError,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from repro.errors import ResourceExhaustedError
-from repro.exec.engine import execute
+from repro.exec.engine import execute, make_runtime
 from repro.exec.iterator import ExecutionMetrics, Runtime
 from repro.exec.limits import QueryGuard, QueryLimits
 from repro.graft.canonical import QueryInfo
@@ -54,10 +78,13 @@ from repro.index.shard import ShardedIndex, ShardView
 from repro.ma.nodes import AntiJoin, Atom, PlanNode, PreCountAtom, Union
 from repro.obs.telemetry import current as _telemetry_current
 from repro.obs.telemetry import maybe_span as _maybe_span
-from repro.sa.context import ScoringContext
+from repro.sa.context import IndexScoringContext, ScoringContext
 from repro.sa.scheme import ScoringScheme
 
 if TYPE_CHECKING:
+    from repro.exec.faults import FaultInjector
+    from repro.exec.procpool import ProcessShardPool
+    from repro.index.index import Index
     from repro.obs.trace import TraceNode
 
 #: Guard-trip name used when a sibling shard's failure cancels this one.
@@ -101,8 +128,8 @@ class ShardGuard(QueryGuard):
 
     Differences from the serial guard:
 
-    * the deadline is an **absolute** instant shared by all shards
-      (``start()`` installs it instead of re-arming relative to now);
+    * the deadline is an **absolute** instant shared by all shards,
+      installed once (``start()`` has nothing to re-arm);
     * a shared cancellation token is checked at every deadline-check
       site, so a failing sibling stops this shard within one
       ``DEADLINE_CHECK_INTERVAL`` of charged rows;
@@ -110,7 +137,7 @@ class ShardGuard(QueryGuard):
       for queries with no configured limits.
     """
 
-    __slots__ = ("_deadline_at", "_cancel")
+    __slots__ = ("_cancel",)
 
     def __init__(
         self,
@@ -120,7 +147,6 @@ class ShardGuard(QueryGuard):
         clock: Callable[[], float] = time.monotonic,
     ):
         super().__init__(limits, clock)
-        self._deadline_at = deadline_at
         self._cancel = cancel
         self.active = True
         if deadline_at is not None:
@@ -131,8 +157,7 @@ class ShardGuard(QueryGuard):
             self._deadline = float("inf")
 
     def start(self) -> None:
-        if self._deadline_at is not None:
-            self._deadline = self._deadline_at
+        """Nothing to re-arm: the deadline is absolute."""
 
     def check_deadline(self) -> None:
         if self._cancel is not None and self._cancel.is_set():
@@ -146,15 +171,16 @@ class ShardGuard(QueryGuard):
         super().check_deadline()
 
 
-#: Builds one shard's guard; overridable for deterministic tests (e.g.
-#: a fake clock that expires mid-query in exactly one shard).
+#: Builds one shard's guard from ``(shard_id, limits, deadline_at,
+#: cancel)``; overridable for deterministic tests (e.g. a fake clock that
+#: expires mid-query in exactly one shard).
 GuardFactory = Callable[
     [int, QueryLimits | None, "float | None", threading.Event], QueryGuard
 ]
 
 
 def _default_guard_factory(
-    shard_index: int,
+    shard_id: int,
     limits: QueryLimits | None,
     deadline_at: float | None,
     cancel: threading.Event,
@@ -170,9 +196,9 @@ def split_limits(
     ``max_rows`` is divided evenly (remainder spread over the first
     shards, never below one row); the deadline and the per-document cap
     pass through — the deadline becomes a shared absolute instant in
-    :func:`execute_sharded` and documents never span shards.
+    :func:`run_shards` and documents never span shards.
     """
-    if limits is None or limits.max_rows is None:
+    if limits is None or limits.max_rows is None or num_shards < 1:
         return [limits] * num_shards
     base, rem = divmod(limits.max_rows, num_shards)
     return [
@@ -200,9 +226,20 @@ def merge_ranked(
     return merged
 
 
+class ShardTask(NamedTuple):
+    """What every shard of one query executes — small and picklable."""
+
+    plan: PlanNode
+    scheme: ScoringScheme
+    info: QueryInfo
+    top_k: int | None = None
+    profile: bool = False
+
+
 @dataclass
 class ShardRun:
-    """What one shard's execution produced (for observability)."""
+    """What one shard's execution produced — the one payload a backend
+    returns, from a pool thread or pickled out of a worker process."""
 
     shard_id: int
     lo: int
@@ -210,51 +247,195 @@ class ShardRun:
     rows: list[tuple[int, float]]
     wall_ms: float
     tripped: str | None
+    metrics: ExecutionMetrics
     trace: "TraceNode | None" = None
 
 
 @dataclass
 class ParallelResult:
-    """Merged outcome of a sharded execution."""
+    """Outcome of one plan run: merged across shards, or serial."""
 
     results: list[tuple[int, float]]
     metrics: ExecutionMetrics
     #: First tripped limit name across shards (shard order), or None.
     tripped: str | None
-    shard_count: int
-    shards_pruned: int
+    shard_count: int = 1
+    shards_pruned: int = 0
     shard_runs: list[ShardRun] = field(default_factory=list)
-    #: Synthetic root holding one per-shard trace subtree (profiling).
+    #: Profiling only: the operator trace tree (serial) or a synthetic
+    #: root holding one per-shard subtree, and the traced wall time.
     trace_root: "TraceNode | None" = None
+    wall_ms: float | None = None
+    #: What actually ran the plan: ``serial``, ``thread`` or ``process``.
+    executor: str = "serial"
 
 
-def fold_metrics(
-    into: ExecutionMetrics, metrics: ExecutionMetrics, rows_charged: int = 0
-) -> ExecutionMetrics:
-    """Fold one shard's work counters into the query-level total.
-
-    Shared by the thread driver below and the process driver
-    (:mod:`repro.exec.procpool`), whose shard metrics arrive pickled
-    from worker processes instead of from in-process runtimes.
-    """
-    into.positions_scanned += metrics.positions_scanned
+def fold_metrics(into: ExecutionMetrics, metrics: ExecutionMetrics) -> None:
+    """Fold one shard's work counters into the query-level total."""
+    for kw, n in metrics.positions_by_keyword.items():
+        into.count_positions(kw, n)  # positions_scanned is their sum
     into.doc_entries_scanned += metrics.doc_entries_scanned
     into.rows_grouped += metrics.rows_grouped
     into.rows_joined += metrics.rows_joined
-    for kw, n in metrics.positions_by_keyword.items():
-        into.positions_by_keyword[kw] = (
-            into.positions_by_keyword.get(kw, 0) + n
+    into.rows_charged += metrics.rows_charged
+
+
+def _tracer(profile: bool):
+    """A fresh execution tracer when profiling (imported on demand)."""
+    if not profile:
+        return None
+    from repro.obs.trace import Tracer
+
+    return Tracer()
+
+
+def run_shard(
+    shard: ShardView, ctx: ScoringContext, task: ShardTask, guard: QueryGuard
+) -> ShardRun:
+    """The per-shard body: the same code on a pool thread and inside a
+    worker process.
+
+    ``ctx`` must be the *global* scoring context — a shard-local context
+    would change idf-style weights and break the exact-merge guarantee
+    (enforced by convention, not code: contexts do not know their
+    index's extent).
+    """
+    tracer = _tracer(task.profile)
+    runtime = Runtime(
+        index=shard,  # type: ignore[arg-type]  # Index-shaped view
+        ctx=ctx,
+        scheme=task.scheme,
+        info=task.info,
+        guard=guard,
+        tracer=tracer,
+    )
+    started = time.perf_counter()
+    rows = execute(task.plan, runtime, top_k=task.top_k)
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    runtime.metrics.rows_charged = guard.rows_charged
+    return ShardRun(
+        shard_id=shard.shard_id,
+        lo=shard.lo,
+        hi=shard.hi,
+        rows=rows,
+        wall_ms=wall_ms,
+        tripped=guard.tripped,
+        metrics=runtime.metrics,
+        trace=tracer.root if tracer is not None else None,
+    )
+
+
+@dataclass
+class ThreadBackend:
+    """Shards on pool threads of this process: the only backend with a
+    cancellation token every running shard can see, and with the
+    ``guard_factory`` test seam (a closure cannot cross a process
+    boundary)."""
+
+    pool: ThreadPoolExecutor
+    ctx: ScoringContext
+    task: ShardTask
+    guard_factory: GuardFactory = _default_guard_factory
+    token: threading.Event = field(default_factory=threading.Event)
+    name = "thread"
+
+    def submit(
+        self,
+        shard: ShardView,
+        limits: QueryLimits | None,
+        deadline_at: float | None,
+    ) -> Future:
+        guard = self.guard_factory(
+            shard.shard_id, limits, deadline_at, self.token
         )
-    into.rows_charged += rows_charged
-    return into
+        return self.pool.submit(run_shard, shard, self.ctx, self.task, guard)
+
+    def cancel(self) -> None:
+        self.token.set()
 
 
-def _merge_metrics(
-    into: ExecutionMetrics, runtimes: list[Runtime]
-) -> ExecutionMetrics:
-    for rt in runtimes:
-        fold_metrics(into, rt.metrics, rt.guard.rows_charged)
-    return into
+def run_shards(
+    backend,
+    sharded: ShardedIndex,
+    task: ShardTask,
+    limits: QueryLimits | None = None,
+) -> ParallelResult:
+    """The shard protocol, stated once for every backend.
+
+    ``backend`` supplies ``submit(shard, limits, deadline_at) ->
+    Future[ShardRun]``, ``cancel()`` (stop shards already running, where
+    it can) and ``name``.  A query whose shards are all pruned is the
+    same path with nothing submitted: the provably empty result still
+    carries its trace root under profiling and reaches the registry.
+    """
+    # Shard bodies run where the caller's contextvars are not visible
+    # (pool threads, worker processes), so request telemetry is recorded
+    # here from the returned ShardRuns: "execute" covers pruning and the
+    # fan-out, "merge" the heap merge.
+    rt = _telemetry_current()
+    with _maybe_span(rt, "execute"):
+        live = sharded.live_shards(required_keywords(task.plan))
+        deadline_at: float | None = None
+        if limits is not None and limits.deadline_ms is not None:
+            deadline_at = time.monotonic() + limits.deadline_ms / 1000.0
+        futures: list[Future] = []
+
+        def stop() -> None:
+            backend.cancel()
+            for fut in futures:
+                fut.cancel()
+
+        try:
+            for shard, part in zip(live, split_limits(limits, len(live))):
+                futures.append(backend.submit(shard, part, deadline_at))
+        except BaseException:
+            stop()
+            raise
+        if wait(futures, return_when=FIRST_EXCEPTION).not_done:
+            stop()  # a shard failed while siblings were queued or running
+        runs: list[ShardRun] = []
+        errors: list[BaseException] = []
+        for fut in futures:
+            try:
+                runs.append(fut.result())
+            except BaseException as exc:  # re-raised below, in shard order
+                errors.append(exc)
+    if errors:
+        # The originating failure, not a secondary cancellation: the
+        # caller sees the exception serial execution would raise.
+        secondary = (CancelledError, ShardCancelledError)
+        raise next(
+            (e for e in errors if not isinstance(e, secondary)), errors[0]
+        )
+
+    if rt is not None:
+        for run in runs:
+            rt.add_shard(
+                run.shard_id, run.wall_ms,
+                rows=len(run.rows), tripped=run.tripped is not None,
+            )
+    with _maybe_span(rt, "merge"):
+        merged = merge_ranked([run.rows for run in runs], top_k=task.top_k)
+    metrics = ExecutionMetrics()
+    for run in runs:
+        fold_metrics(metrics, run.metrics)
+    pruned = sharded.num_shards - len(live)
+    _record_shard_metrics(runs, pruned, backend.name)
+    return ParallelResult(
+        results=merged,
+        metrics=metrics,
+        tripped=next(
+            (run.tripped for run in runs if run.tripped is not None), None
+        ),
+        shard_count=sharded.num_shards,
+        shards_pruned=pruned,
+        shard_runs=runs,
+        trace_root=(
+            _build_trace_root(len(live), sharded.num_shards, merged, runs)
+            if task.profile else None
+        ),
+        executor=backend.name,
+    )
 
 
 def execute_sharded(
@@ -266,147 +447,141 @@ def execute_sharded(
     top_k: int | None = None,
     limits: QueryLimits | None = None,
     profile: bool = False,
-    max_workers: int | None = None,
     guard_factory: GuardFactory | None = None,
 ) -> ParallelResult:
-    """Run one optimized plan across all shards and merge the rankings.
+    """Run one optimized plan across all shards on threads of this
+    process and merge the rankings (``ctx``: see :func:`run_shard`)."""
+    task = ShardTask(plan, scheme, info, top_k, profile)
+    with ThreadPoolExecutor(
+        max_workers=sharded.num_shards, thread_name_prefix="graft-shard"
+    ) as pool:
+        backend = ThreadBackend(
+            pool, ctx, task, guard_factory or _default_guard_factory
+        )
+        return run_shards(backend, sharded, task, limits)
 
-    ``ctx`` must be the *global* scoring context — passing a shard-local
-    context would change idf-style weights and break the exact-merge
-    guarantee (this is enforced by convention, not code: contexts do not
-    know their index's extent).
 
-    ``guard_factory`` is a test seam: it builds each shard's guard and
-    defaults to :class:`ShardGuard` wired to the shared deadline and
-    cancellation token.
+def note_fallback(reason: str, exc: BaseException | None = None) -> None:
+    """Count one query that asked for worker processes and ran in this
+    process instead, labeled by why; a pool that cannot start (``exc``)
+    is also worth a warning."""
+    from repro.obs.metrics import REGISTRY, proc_fallbacks
+
+    proc_fallbacks(REGISTRY).labels(reason=reason).inc()
+    if exc is not None:
+        warnings.warn(
+            f"process executor unavailable ({exc}); running in-process",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+
+def _run_on_processes(
+    view: ShardedIndex,
+    task: ShardTask,
+    limits: QueryLimits | None,
+    ctx: ScoringContext | None,
+    pool: "Callable[[], ProcessShardPool | None] | None",
+) -> ParallelResult | None:
+    """One attempt on worker processes; None means run in-process
+    (same scores, just slower).  Limit trips and other
+    :class:`repro.errors.GraftError` are query outcomes, not
+    infrastructure failures, and propagate."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.exec.procpool import (
+        ProcessBackend,
+        ProcPoolUnavailableError,
+        start_pool,
+    )
+
+    if ctx is not None:
+        # Workers rescore from the shared index; an override stays here.
+        note_fallback("ctx_override")
+        return None
+    procs = None
+    try:
+        procs = pool() if pool else start_pool(view.base, view.num_shards)
+        if procs is None:  # the caller's start already failed, and said so
+            return None
+        return run_shards(ProcessBackend(procs, view, task), view, task, limits)
+    except ProcPoolUnavailableError as exc:
+        if procs is None:  # shared memory or workers cannot start
+            note_fallback("pool_unavailable", exc)
+        else:  # the plan or scheme cannot cross the pickle boundary
+            note_fallback("submit")
+        return None
+    except BrokenProcessPool:
+        # Workers died (OOM-kill, signal), the publication maybe with
+        # them: retire the pool so the next query starts a fresh one.
+        procs.close()
+        note_fallback("broken_pool")
+        return None
+    finally:
+        if pool is None and procs is not None:
+            procs.close()
+
+
+def run_plan(
+    index: "Index",
+    plan: PlanNode,
+    scheme: ScoringScheme,
+    info: QueryInfo,
+    ctx: ScoringContext | None = None,
+    *,
+    top_k: int | None = None,
+    limits: QueryLimits | None = None,
+    profile: bool = False,
+    faults: "FaultInjector | None" = None,
+    executor: str = "serial",
+    shards: int = 1,
+    sharded: Callable[[], ShardedIndex] | None = None,
+    pool: "Callable[[], ProcessShardPool | None] | None" = None,
+) -> ParallelResult:
+    """Execute one optimized plan; the one runner under engine and CLI.
+
+    ``executor`` / ``shards`` are what was asked for, the result's
+    ``executor`` is what ran: serial inline for one shard, for
+    ``serial``, and whenever ``faults`` is set (fail-at-Nth-call
+    counters are only deterministic when exactly one plan executes);
+    otherwise sharded, on worker processes for ``process`` unless
+    :func:`_run_on_processes` sends it back, else on threads.
+
+    ``ctx`` is a scoring-context *override* (None: the index's own
+    statistics).  ``sharded`` and ``pool`` let a long-lived caller reuse
+    its sharded view and worker pool (``pool`` returns None once its
+    start has failed); without them a view is cut and a one-shot pool
+    started and closed here.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    required = required_keywords(plan)
-    live = sharded.live_shards(required)
-    pruned = sharded.num_shards - len(live)
-    if not live:
-        # Every shard was pruned: the result is provably empty, but the
-        # observability contract still holds — profiling callers get the
-        # (childless) merge root, the pruned count reaches the registry,
-        # and the request records an (instant) "execute" phase.
+    if shards <= 1 or executor == "serial" or faults is not None:
+        tracer = _tracer(profile)
+        runtime = make_runtime(
+            index, scheme, info, ctx,
+            limits=limits, faults=faults, tracer=tracer,
+        )
         with _maybe_span(_telemetry_current(), "execute"):
-            _record_shard_metrics([], pruned)
-        return ParallelResult(
-            results=[],
-            metrics=ExecutionMetrics(),
-            tripped=None,
-            shard_count=sharded.num_shards,
-            shards_pruned=pruned,
-            trace_root=(
-                _build_trace_root(0, sharded.num_shards, [], [])
-                if profile else None
-            ),
+            rows = execute(plan, runtime, top_k=top_k)
+        runtime.metrics.rows_charged = runtime.guard.rows_charged
+        result = ParallelResult(rows, runtime.metrics, runtime.guard.tripped)
+        if tracer is not None:
+            result.trace_root = tracer.root
+            result.wall_ms = tracer.total_ns / 1e6
+        return result
+    started = time.perf_counter()
+    view = sharded() if sharded is not None else ShardedIndex(index, shards)
+    task = ShardTask(plan, scheme, info, top_k, profile)
+    result = None
+    if executor == "process":
+        result = _run_on_processes(view, task, limits, ctx, pool)
+    if result is None:
+        result = execute_sharded(
+            view, plan, scheme, info,
+            ctx if ctx is not None else IndexScoringContext(index),
+            top_k=top_k, limits=limits, profile=profile,
         )
-
-    deadline_at: float | None = None
-    if limits is not None and limits.deadline_ms is not None:
-        deadline_at = time.monotonic() + limits.deadline_ms / 1000.0
-    cancel = threading.Event()
-    factory = guard_factory if guard_factory is not None else _default_guard_factory
-    shard_limits = split_limits(limits, len(live))
-
-    runtimes: list[Runtime] = []
-    tracers = []
-    for i, shard in enumerate(live):
-        tracer = None
-        if profile:
-            from repro.obs.trace import Tracer
-
-            tracer = Tracer()
-        tracers.append(tracer)
-        runtimes.append(
-            Runtime(
-                index=shard,  # type: ignore[arg-type]  # Index-shaped view
-                ctx=ctx,
-                scheme=scheme,
-                info=info,
-                guard=factory(i, shard_limits[i], deadline_at, cancel),
-                tracer=tracer,
-            )
-        )
-
-    def run_shard(i: int) -> ShardRun:
-        shard = live[i]
-        started = time.perf_counter()
-        try:
-            rows = execute(plan, runtimes[i], top_k=top_k)
-        except BaseException:
-            cancel.set()
-            raise
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        tracer = tracers[i]
-        return ShardRun(
-            shard_id=shard.shard_id,
-            lo=shard.lo,
-            hi=shard.hi,
-            rows=rows,
-            wall_ms=wall_ms,
-            tripped=runtimes[i].guard.tripped,
-            trace=tracer.root if tracer is not None else None,
-        )
-
-    workers = len(live) if max_workers is None else max(1, min(max_workers, len(live)))
-    runs: list[ShardRun | None] = [None] * len(live)
-    errors: list[tuple[int, BaseException]] = []
-    # Request telemetry: shard workers run on pool threads that do not
-    # inherit the caller's contextvars, so per-shard detail is recorded
-    # here on the driving thread from the completed ShardRuns — the
-    # "execute" phase covers the fan-out, "merge" the heap merge.
-    rt = _telemetry_current()
-    with _maybe_span(rt, "execute"):
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="graft-shard"
-        ) as pool:
-            futures = [pool.submit(run_shard, i) for i in range(len(live))]
-            for i, fut in enumerate(futures):
-                try:
-                    runs[i] = fut.result()
-                except BaseException as exc:  # re-raised below, in shard order
-                    errors.append((i, exc))
-    if errors:
-        # Prefer the originating failure over secondary cancellations so
-        # the caller sees the same exception serial execution would raise.
-        for _, exc in errors:
-            if not isinstance(exc, ShardCancelledError):
-                raise exc
-        raise errors[0][1]
-
-    completed = [run for run in runs if run is not None]
-    if rt is not None:
-        for run in completed:
-            rt.add_shard(
-                run.shard_id, run.wall_ms,
-                rows=len(run.rows), tripped=run.tripped is not None,
-            )
-    with _maybe_span(rt, "merge"):
-        merged = merge_ranked([run.rows for run in completed], top_k=top_k)
-    tripped = next(
-        (run.tripped for run in completed if run.tripped is not None), None
-    )
-    metrics = _merge_metrics(ExecutionMetrics(), runtimes)
-
-    trace_root = None
     if profile:
-        trace_root = _build_trace_root(
-            len(live), sharded.num_shards, merged, completed
-        )
-
-    _record_shard_metrics(completed, pruned)
-    return ParallelResult(
-        results=merged,
-        metrics=metrics,
-        tripped=tripped,
-        shard_count=sharded.num_shards,
-        shards_pruned=pruned,
-        shard_runs=completed,
-        trace_root=trace_root,
-    )
+        result.wall_ms = (time.perf_counter() - started) * 1000.0
+    return result
 
 
 def _build_trace_root(
@@ -449,15 +624,20 @@ def _build_trace_root(
     return trace_root
 
 
-def _record_shard_metrics(runs: list[ShardRun], pruned: int) -> None:
+def _record_shard_metrics(
+    runs: list[ShardRun], pruned: int, executor: str
+) -> None:
     """Fold per-shard wall times into the process-wide registry."""
     from repro.obs.metrics import (
         REGISTRY,
+        proc_queries,
         shard_seconds,
         shards_executed,
         shards_pruned,
     )
 
+    if executor == "process":
+        proc_queries(REGISTRY).child().inc()
     shards_executed(REGISTRY).child().inc(len(runs))
     if pruned:
         shards_pruned(REGISTRY).child().inc(pruned)

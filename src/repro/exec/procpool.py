@@ -1,11 +1,10 @@
-"""Process-parallel shard execution over a shared-memory packed index.
+"""The process backend: shards on worker processes over a shared-memory
+packed index.
 
-The thread driver (:mod:`repro.exec.parallel`) proved the sharded merge
-bit-identical to serial, but CPython's GIL serializes its workers: on
-this repo's own benchmark the thread path *anti-scales* (0.85x at two
-shards).  This module runs the same shard plans on a
-``ProcessPoolExecutor`` — real OS processes, no shared GIL — without
-pickling the index:
+CPython's GIL serializes the thread backend's workers (0.85x serial on
+this repo's own benchmark).  This module gives the one shard driver
+(:func:`repro.exec.parallel.run_shards`) real OS processes — no shared
+GIL — without pickling the index:
 
 1. :class:`SharedIndexPublication` copies one packed blob
    (:func:`repro.index.packed.pack_index`) into a
@@ -16,10 +15,12 @@ pickling the index:
    (plus a :class:`repro.index.shard.ShardedIndex` over it) in
    module-global worker state — every query after the first reuses the
    decoded postings.
-3. :func:`execute_sharded_process` mirrors the thread driver: prune on
-   the parent, split ``max_rows`` across live shards, ship each shard's
-   ``(plan, scheme, info)`` (small, picklable), and heap-merge the
-   ranked rows with the same ``(-score, doc_id)`` key.
+3. :class:`ProcessBackend` ships each live shard's small picklable
+   :class:`repro.exec.parallel.ShardTask` to a worker, which runs the
+   per-shard body the thread backend runs
+   (:func:`repro.exec.parallel.run_shard`) and returns the same
+   :class:`repro.exec.parallel.ShardRun` — under profiling with the
+   shard's trace subtree.  Everything else is the driver's.
 
 Score consistency is inherited, not re-proved: workers score through an
 :class:`repro.sa.context.IndexScoringContext` over the packed index,
@@ -28,16 +29,12 @@ ranges are computed by the same integer arithmetic on both sides — so
 the merged ranking is bit-identical to serial execution, which the
 hypothesis suite and the strict audit gate assert over this path.
 
-Differences from the thread driver, by necessity:
-
-* **No cross-process cancellation token.**  The shared absolute
-  deadline still bounds every worker, but a non-limit failure in one
-  shard cannot interrupt siblings mid-plan — the parent cancels queued
-  tasks and re-raises the first real error once running ones return.
-* **No profiling.**  Trace trees are not worth pickling; the engine
-  routes ``profile=True`` queries to the thread path.
-* ``ResourceExhaustedError`` trips cross the process boundary as
-  structured tuples so the ``limit`` attribute survives pickling.
+The one difference from the thread backend, by necessity: there is **no
+cross-process cancellation token**.  The shared absolute deadline still
+bounds every worker, but a failure in one shard cannot interrupt
+siblings mid-plan — queued tasks are cancelled and the first real error
+is re-raised once running ones return, as itself: every class in
+:mod:`repro.errors` pickles with its extra attributes.
 
 Worker lifecycle is tied to the index generation that published the
 blob: the engine builds one pool per sealed generation, and closing it
@@ -48,40 +45,30 @@ segment — see docs/STORAGE.md.
 from __future__ import annotations
 
 import os
-import time
+import pickle
 import weakref
-from typing import TYPE_CHECKING
+from concurrent.futures import Future
 
-from repro.errors import (
-    QueryTimeoutError,
-    ResourceExhaustedError,
-)
-from repro.exec.engine import execute
-from repro.exec.iterator import ExecutionMetrics, Runtime
+from repro.errors import GraftError
 from repro.exec.limits import QueryLimits
 from repro.exec.parallel import (
     ParallelResult,
     ShardGuard,
     ShardRun,
-    _record_shard_metrics,
-    fold_metrics,
-    merge_ranked,
-    required_keywords,
-    split_limits,
+    ShardTask,
+    run_shard,
+    run_shards,
 )
 from repro.graft.canonical import QueryInfo
-from repro.index.shard import ShardedIndex
-from repro.obs.telemetry import current as _telemetry_current
-from repro.obs.telemetry import maybe_span as _maybe_span
+from repro.index.shard import ShardedIndex, ShardView
+from repro.ma.nodes import PlanNode
 from repro.sa.scheme import ScoringScheme
-
-if TYPE_CHECKING:
-    from repro.ma.nodes import PlanNode
 
 
 class ProcPoolUnavailableError(Exception):
-    """Shared memory or worker processes could not be set up; callers
-    fall back to the thread path (this never escapes the engine)."""
+    """Shared memory or worker processes could not be set up, or a task
+    cannot be shipped to them; :func:`repro.exec.parallel.run_plan` runs
+    the query in-process instead (this never escapes the engine)."""
 
 
 # -- publication --------------------------------------------------------------
@@ -131,16 +118,15 @@ class SharedIndexPublication:
 
 # -- worker side --------------------------------------------------------------
 
-#: Per-worker attachment cache: shm name -> (shm, PackedIndex, ctx,
-#: {num_shards: ShardedIndex}).  A pool serves exactly one publication,
-#: so at most one entry is ever live; stale entries (a worker recycled
-#: across pools in tests) are closed and dropped.
-_WORKER_STATE: dict[str, tuple] = {}
+#: This worker's attachment: (shm name, shm, ctx, ShardedIndex).  A pool
+#: serves one publication at one shard count, so one slot is enough; a
+#: worker recycled across pools (tests) drops the stale one.
+_ATTACHED: tuple | None = None
 
 
-def _attach(name: str, untrack: bool):
-    state = _WORKER_STATE.get(name)
-    if state is None:
+def _attach(name: str, untrack: bool, num_shards: int) -> tuple:
+    global _ATTACHED
+    if _ATTACHED is None or _ATTACHED[0] != name:
         from multiprocessing import shared_memory
 
         from repro.index.packed import PackedIndex
@@ -161,16 +147,17 @@ def _attach(name: str, untrack: bool):
                 resource_tracker.unregister(shm._name, "shared_memory")
             except Exception:  # pragma: no cover - tracker internals moved
                 pass
-        for stale_name, stale in list(_WORKER_STATE.items()):
+        if _ATTACHED is not None:
             try:
-                stale[0].close()
+                _ATTACHED[1].close()
             except (OSError, BufferError):  # pragma: no cover
                 pass
-            del _WORKER_STATE[stale_name]
         index = PackedIndex(shm.buf, source=f"shm://{name}")
-        state = (shm, index, IndexScoringContext(index), {})
-        _WORKER_STATE[name] = state
-    return state
+        _ATTACHED = (
+            name, shm, IndexScoringContext(index),
+            ShardedIndex(index, num_shards),
+        )
+    return _ATTACHED
 
 
 def _shard_task(
@@ -178,56 +165,21 @@ def _shard_task(
     untrack_shm: bool,
     num_shards: int,
     shard_id: int,
-    plan: "PlanNode",
-    scheme: ScoringScheme,
-    info: QueryInfo,
-    top_k: int | None,
+    task: ShardTask,
     limits: QueryLimits | None,
     deadline_at: float | None,
-):
+) -> ShardRun:
     """Run one shard's plan inside a worker process.
 
     ``deadline_at`` is an absolute ``time.monotonic`` instant — on
     Linux ``CLOCK_MONOTONIC`` is system-wide, so the parent's deadline
-    means the same thing here.  Returns a picklable tuple; limit trips
-    under ``on_limit="error"`` come back structured so the ``limit``
-    attribute survives the boundary.
+    means the same thing here.
     """
-    _shm, index, ctx, sharded_cache = _attach(shm_name, untrack_shm)
-    sharded = sharded_cache.get(num_shards)
-    if sharded is None:
-        sharded = ShardedIndex(index, num_shards)
-        sharded_cache[num_shards] = sharded
-    shard = sharded.shards[shard_id]
-    guard = ShardGuard(limits, deadline_at=deadline_at)
-    runtime = Runtime(
-        index=shard,  # type: ignore[arg-type]  # Index-shaped view
-        ctx=ctx,
-        scheme=scheme,
-        info=info,
-        guard=guard,
+    _, _, ctx, sharded = _attach(shm_name, untrack_shm, num_shards)
+    return run_shard(
+        sharded.shards[shard_id], ctx, task,
+        ShardGuard(limits, deadline_at=deadline_at),
     )
-    started = time.perf_counter()
-    try:
-        rows = execute(plan, runtime, top_k=top_k)
-    except ResourceExhaustedError as exc:
-        return ("limit", type(exc).__name__, str(exc), exc.limit)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    run = ShardRun(
-        shard_id=shard.shard_id,
-        lo=shard.lo,
-        hi=shard.hi,
-        rows=rows,
-        wall_ms=wall_ms,
-        tripped=guard.tripped,
-    )
-    return ("ok", run, runtime.metrics, guard.rows_charged)
-
-
-_LIMIT_ERRORS = {
-    "ResourceExhaustedError": ResourceExhaustedError,
-    "QueryTimeoutError": QueryTimeoutError,
-}
 
 
 # -- parent side --------------------------------------------------------------
@@ -284,8 +236,11 @@ class ProcessShardPool:
         """Shut workers down and unlink the shared segment."""
         self._finalizer()
 
-    def submit(self, *args):
-        return self._executor.submit(_shard_task, *args)
+    def submit(self, *args) -> Future:
+        return self._executor.submit(
+            _shard_task, self.publication.name,
+            self._start_method != "fork", self.num_shards, *args,
+        )
 
 
 def _shutdown_pool(executor, publication) -> None:
@@ -296,161 +251,102 @@ def _shutdown_pool(executor, publication) -> None:
     publication.close()
 
 
-def execute_sharded_process(
-    pool: ProcessShardPool,
-    sharded: ShardedIndex,
-    plan: "PlanNode",
-    scheme: ScoringScheme,
-    info: QueryInfo,
-    top_k: int | None = None,
-    limits: QueryLimits | None = None,
-) -> ParallelResult:
-    """Run one optimized plan across all shards on worker processes.
-
-    ``sharded`` is the parent's sharded view of the same logical index
-    (used for partition pruning — both sides cut shard ranges with the
-    same arithmetic, so shard ids agree).  Raises
-    :class:`ProcPoolUnavailableError` wrapping a submission failure
-    when the plan or scheme cannot be pickled — the engine retries on
-    the thread path.
-    """
-    if pool.num_shards != sharded.num_shards:
-        raise ProcPoolUnavailableError(
-            f"pool built for {pool.num_shards} shards, query wants "
-            f"{sharded.num_shards}"
-        )
-    required = required_keywords(plan)
-    live = sharded.live_shards(required)
-    pruned = sharded.num_shards - len(live)
-    if not live:
-        # Every shard was pruned: the result is provably empty, but the
-        # telemetry contract still holds — the request records an
-        # (instant) "execute" phase covering the pruning decision.
-        with _maybe_span(_telemetry_current(), "execute"):
-            _record_shard_metrics([], pruned)
-        return ParallelResult(
-            results=[],
-            metrics=ExecutionMetrics(),
-            tripped=None,
-            shard_count=sharded.num_shards,
-            shards_pruned=pruned,
-        )
-
-    # Pre-flight the payload: ProcessPoolExecutor pickles work items on
-    # a feeder thread, so an unpicklable plan/scheme/info would fail
-    # *asynchronously* on the future — indistinguishable there from a
-    # real worker error.  Pickling once up front turns it into the
-    # deterministic fall-back-to-threads signal (payloads are small).
-    import pickle
-
+def schedulable_cores() -> int:
+    """Cores this process may run on (``taskset`` and cgroup cpusets
+    count; ``os.cpu_count()`` ignores both)."""
     try:
-        pickle.dumps((plan, scheme, info))
-    except Exception as exc:
-        raise ProcPoolUnavailableError(
-            f"cannot ship shard task to workers: {exc}"
-        ) from exc
-
-    deadline_at: float | None = None
-    if limits is not None and limits.deadline_ms is not None:
-        deadline_at = time.monotonic() + limits.deadline_ms / 1000.0
-    shard_limits = split_limits(limits, len(live))
-
-    rt = _telemetry_current()
-    futures = []
-    with _maybe_span(rt, "execute"):
-        try:
-            for i, shard in enumerate(live):
-                futures.append(
-                    pool.submit(
-                        pool.publication.name,
-                        pool._start_method != "fork",
-                        sharded.num_shards,
-                        shard.shard_id,
-                        plan,
-                        scheme,
-                        info,
-                        top_k,
-                        shard_limits[i],
-                        deadline_at,
-                    )
-                )
-        except Exception as exc:
-            # Unpicklable plan/scheme/info (or a dying pool): cancel
-            # what was queued and let the engine fall back to threads.
-            for fut in futures:
-                fut.cancel()
-            raise ProcPoolUnavailableError(
-                f"cannot ship shard task to workers: {exc}"
-            ) from exc
-
-        from concurrent.futures import CancelledError
-
-        completed: list[ShardRun] = []
-        metrics = ExecutionMetrics()
-        limit_trip: tuple | None = None
-        errors: list[BaseException] = []
-        for fut in futures:
-            try:
-                payload = fut.result()
-            except CancelledError:
-                # Cancelled after a sibling's failure or limit trip —
-                # the cause is already recorded, not this future.
-                continue
-            except BaseException as exc:
-                # First real failure wins; queued siblings are cancelled
-                # (running ones finish — no cross-process cancel token).
-                errors.append(exc)
-                for pending in futures:
-                    pending.cancel()
-                continue
-            if payload[0] == "limit":
-                if limit_trip is None:
-                    limit_trip = payload
-                for pending in futures:
-                    pending.cancel()
-                continue
-            _tag, run, shard_metrics, rows_charged = payload
-            completed.append(run)
-            fold_metrics(metrics, shard_metrics, rows_charged)
-    if errors:
-        raise errors[0]
-    if limit_trip is not None:
-        _tag, cls_name, message, limit = limit_trip
-        raise _LIMIT_ERRORS.get(cls_name, ResourceExhaustedError)(
-            message, limit=limit
-        )
-
-    if rt is not None:
-        for run in completed:
-            rt.add_shard(
-                run.shard_id, run.wall_ms,
-                rows=len(run.rows), tripped=run.tripped is not None,
-            )
-    with _maybe_span(rt, "merge"):
-        merged = merge_ranked([run.rows for run in completed], top_k=top_k)
-    tripped = next(
-        (run.tripped for run in completed if run.tripped is not None), None
-    )
-    _record_shard_metrics(completed, pruned)
-    from repro.obs.metrics import REGISTRY, proc_queries
-
-    proc_queries(REGISTRY).child().inc()
-    return ParallelResult(
-        results=merged,
-        metrics=metrics,
-        tripped=tripped,
-        shard_count=sharded.num_shards,
-        shards_pruned=pruned,
-        shard_runs=completed,
-    )
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def default_worker_count(num_shards: int) -> int:
     """Worker processes to start for ``num_shards`` shards: one per
     shard, but never more than the machine's schedulable cores (extra
     workers on a small box only add context switches)."""
+    return max(1, min(num_shards, schedulable_cores()))
+
+
+def start_pool(index, num_shards: int) -> ProcessShardPool:
+    """Pack ``index``, publish the blob, start the workers.
+
+    Raises :class:`ProcPoolUnavailableError` when any of the three
+    cannot be done here.
+    """
+    from repro.index.packed import pack_index
+
     try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    return max(1, min(num_shards, cores))
+        blob = pack_index(index)
+    except GraftError as exc:
+        raise ProcPoolUnavailableError(f"cannot pack index: {exc}") from exc
+    return ProcessShardPool(
+        blob, num_shards, max_workers=default_worker_count(num_shards)
+    )
+
+
+class ProcessBackend:
+    """Shards on a :class:`ProcessShardPool`'s workers.
+
+    Raises :class:`ProcPoolUnavailableError` — the run-in-process
+    signal — when the pool is closed or was built for another shard
+    layout, or the task cannot be shipped.
+    """
+
+    name = "process"
+
+    def __init__(
+        self, pool: ProcessShardPool, sharded: ShardedIndex, task: ShardTask
+    ):
+        if pool.closed:
+            raise ProcPoolUnavailableError("the worker pool is closed")
+        if pool.num_shards != sharded.num_shards:
+            raise ProcPoolUnavailableError(
+                f"pool built for {pool.num_shards} shards, query wants "
+                f"{sharded.num_shards}"
+            )
+        # ProcessPoolExecutor pickles work items on a feeder thread, so
+        # an unpicklable plan/scheme/info would fail *asynchronously* on
+        # the future — indistinguishable there from a real worker error.
+        # Pickling once up front makes it deterministic (tasks are small).
+        try:
+            pickle.dumps(task)
+        except Exception as exc:
+            raise ProcPoolUnavailableError(
+                f"cannot ship shard task to workers: {exc}"
+            ) from exc
+        self._pool = pool
+        self._task = task
+
+    def submit(
+        self,
+        shard: ShardView,
+        limits: QueryLimits | None,
+        deadline_at: float | None,
+    ) -> Future:
+        return self._pool.submit(
+            shard.shard_id, self._task, limits, deadline_at
+        )
+
+    def cancel(self) -> None:
+        """Nothing reaches a running worker; the driver cancels what is
+        still queued and the shared deadline bounds the rest."""
+
+
+def execute_sharded_process(
+    pool: ProcessShardPool,
+    sharded: ShardedIndex,
+    plan: PlanNode,
+    scheme: ScoringScheme,
+    info: QueryInfo,
+    top_k: int | None = None,
+    limits: QueryLimits | None = None,
+    profile: bool = False,
+) -> ParallelResult:
+    """Run one optimized plan across all shards on worker processes.
+
+    ``sharded`` is the parent's sharded view of the same logical index
+    (used for partition pruning — both sides cut shard ranges with the
+    same arithmetic, so shard ids agree).
+    """
+    task = ShardTask(plan, scheme, info, top_k, profile)
+    return run_shards(ProcessBackend(pool, sharded, task), sharded, task, limits)

@@ -1,30 +1,43 @@
 """Advisory single-writer lock for a store directory.
 
 Two engines appending to one ``wal.jsonl`` — or racing a checkpoint
-rename — would interleave silently; the lockfile turns that misuse into
-a typed :class:`repro.errors.StoreLockedError` instead.  The lock is a
-``LOCK`` file created with ``O_CREAT | O_EXCL`` (atomic on POSIX and
-NTFS) containing ``pid@host``.  A lockfile whose pid is no longer alive
-on the same host is stale (the previous writer crashed — the very event
-this store is designed around) and is broken automatically.
+rename — would interleave silently; the lock turns that misuse into a
+typed :class:`repro.errors.StoreLockedError` instead.
 
-Breaking a stale lock is itself a race: two openers that both observe
-the dead pid and both ``unlink`` + ``create`` can interleave so that the
-second opener's unlink removes the *first opener's fresh lock*, leaving
-two live writers each convinced they hold it.  The break therefore goes
-through an atomic ``rename`` of the stale lockfile to a per-breaker
-claim name: exactly one racer wins the rename (the loser's rename
-raises ``FileNotFoundError`` and it simply retries the normal create),
-the winner re-verifies the claimed file still names the dead holder
-before discarding it, and nobody ever unlinks a path another writer may
-have re-created.
+The lock is an OS file lock (``flock``, exclusive, non-blocking) held on
+an open descriptor of the ``LOCK`` file for as long as the writer lives;
+the file's content, ``pid@host``, only tells a refused opener who holds
+it.  The kernel drops the lock when the holder's descriptor closes —
+including when the holder crashes, the very event this store is designed
+around — so there is nothing to *break*: a ``LOCK`` file left behind by
+a dead writer is simply unlocked, and the next opener locks that same
+file and overwrites the name in it.  No path is ever unlinked or renamed
+by anyone but the lock's holder, which is what the earlier
+rename-claim-and-restore scheme could not guarantee (a breaker could
+rename away a racer's fresh lock, lose the restore to a third opener,
+and leave two live writers).
+
+A forked child — a process-pool worker — shares the holder's open file
+description and would keep the lock alive past the holder's death, so
+children close their inherited copies at fork.
+
+Two checks remain after ``flock`` succeeds:
+
+* the descriptor must still be the file the path names — a holder that
+  releases unlinks ``LOCK`` before unlocking, so an opener that was
+  waiting on the old inode retries on the new one instead of "holding"
+  a file nobody else can see;
+* a name in the file that is not provably dead — a live pid here, or any
+  pid on another host, written by a holder ``flock`` cannot see (another
+  machine on a shared mount, a pre-``flock`` version of this code) — is
+  respected: the opener backs off without touching the file.
 
 Acquisition also supports **bounded retry with backoff** for callers
 (like the query service's writer supervisor) that race a just-released
-or just-broken lock: ``acquire(retries=N)`` sleeps a jittered,
-linearly growing backoff between attempts instead of failing on the
-first collision.  The default remains fail-fast (``retries=0``) so
-interactive misuse still reports immediately.
+lock: ``acquire(retries=N)`` sleeps a jittered, linearly growing backoff
+between attempts instead of failing on the first collision.  The default
+remains fail-fast (``retries=0``) so interactive misuse still reports
+immediately.
 
 Readers never take the lock: a reader resolves one manifest and only
 touches files that manifest references, which a concurrent writer never
@@ -33,10 +46,12 @@ mutates in place.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pathlib
 import socket
 import time
+import weakref
 from typing import Callable
 
 from repro.errors import StoreLockedError
@@ -49,11 +64,11 @@ class StoreLock:
 
     def __init__(self, directory: str | pathlib.Path):
         self.path = pathlib.Path(directory) / LOCK_NAME
-        self._held = False
+        self._fd: int | None = None
 
     @property
     def held(self) -> bool:
-        return self._held
+        return self._fd is not None
 
     def acquire(
         self,
@@ -62,110 +77,80 @@ class StoreLock:
         jitter_s: float = 0.02,
         sleep: Callable[[float], None] = time.sleep,
     ) -> "StoreLock":
-        """Take the lock, breaking a stale one; raises when truly held.
+        """Take the lock; raises when another writer truly holds it.
 
         Args:
-            retries: Extra acquisition rounds after the first; each
-                round re-attempts the create (and the stale break).
+            retries: Extra acquisition rounds after the first.
             backoff_s: Base sleep between rounds, grown linearly.
             jitter_s: Uniform random extra sleep per round, so two
                 retrying openers do not stay phase-locked.
             sleep: Injectable for deterministic tests.
         """
         holder = f"{os.getpid()}@{socket.gethostname()}"
-        last_error: StoreLockedError | None = None
+        current = None
         for attempt in range(retries + 1):
             if attempt:
                 sleep(backoff_s * attempt + jitter_s * _jitter())
-            try:
-                self._create(holder)
+            current = self._try_acquire(holder)
+            if self.held:
                 return self
-            except FileExistsError:
-                pass
-            current = self._read_holder()
-            if self._is_stale(current) and self._break_stale(current):
-                # The stale file is gone and only we removed it; take
-                # the normal create path (another racer may still beat
-                # us to it, which the retry loop absorbs).
-                try:
-                    self._create(holder)
-                    return self
-                except FileExistsError:
-                    current = self._read_holder()
-            last_error = StoreLockedError(
-                f"store {self.path.parent} is locked by another writer "
-                f"({current or 'unknown holder'}); close that engine or "
-                f"remove a stale {LOCK_NAME} file",
-                path=str(self.path),
-                holder=current,
-            )
-        assert last_error is not None
-        raise last_error
-
-    def _create(self, holder: str) -> None:
-        """Atomically create the lockfile naming us as holder."""
-        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        try:
-            os.write(fd, holder.encode("ascii"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        self._held = True
-
-    def _break_stale(self, expected_holder: str | None) -> bool:
-        """Atomically claim and discard a stale lockfile.
-
-        Returns True when *this* process removed the stale lock.  The
-        rename is the arbitration point: among N simultaneous breakers
-        exactly one succeeds, and a lockfile freshly created by a racer
-        is never unlinked blindly — if the claimed file's content no
-        longer matches the holder we judged dead (a racer broke and
-        re-created it between our read and our rename), we restore it
-        via an atomic ``link`` and report failure.
-        """
-        claim = self.path.with_name(
-            f"{LOCK_NAME}.break.{os.getpid()}.{time.monotonic_ns()}"
+        raise StoreLockedError(
+            f"store {self.path.parent} is locked by another writer "
+            f"({current or 'unknown holder'}); close that engine or "
+            f"remove a stale {LOCK_NAME} file",
+            path=str(self.path),
+            holder=current,
         )
+
+    def _try_acquire(self, holder: str) -> str | None:
+        """One round: lock ``LOCK`` and write our name into it, or
+        return the name of whoever holds it."""
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                current = _read_name(fd)
+                os.close(fd)
+                return current
+            if self._is_at_path(fd):
+                break
+            os.close(fd)  # a releasing holder unlinked it under us
+        current = _read_name(fd)
+        if current and not self._is_stale(current):
+            os.close(fd)
+            return current
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, holder.encode("ascii"), 0)
+        os.fsync(fd)
+        self._fd = fd
+        _HELD.add(self)
+        return None
+
+    def _is_at_path(self, fd: int) -> bool:
         try:
-            os.rename(self.path, claim)
-        except OSError:
-            return False  # someone else already claimed or removed it
-        try:
-            claimed_holder = claim.read_text(errors="replace").strip() or None
-        except OSError:
-            claimed_holder = None
-        if claimed_holder == expected_holder or self._is_stale(claimed_holder):
-            claim.unlink(missing_ok=True)
-            return True
-        # Pathological: we renamed away a *live* lock created between our
-        # staleness check and the rename.  Put it back atomically; if a
-        # new lockfile already exists the restore loses and the claimed
-        # file is surfaced for manual cleanup via the raised error path.
-        try:
-            os.link(claim, self.path)
-            claim.unlink(missing_ok=True)
-        except OSError:
-            pass
-        return False
+            named = os.stat(self.path)
+        except FileNotFoundError:
+            return False
+        mine = os.fstat(fd)
+        return (named.st_dev, named.st_ino) == (mine.st_dev, mine.st_ino)
 
     def release(self) -> None:
-        if not self._held:
+        if self._fd is None:
             return
-        self._held = False
+        fd, self._fd = self._fd, None
+        _HELD.discard(self)
         try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+            # Unlink before unlocking, and only our own file: a LOCK
+            # removed by hand and re-created by a new writer is theirs.
+            if self._is_at_path(fd):
+                self.path.unlink(missing_ok=True)
+        finally:
+            os.close(fd)
 
-    def _read_holder(self) -> str | None:
-        try:
-            return self.path.read_text(errors="replace").strip() or None
-        except OSError:
-            return None
-
-    def _is_stale(self, holder: str | None) -> bool:
-        """A same-host lock whose pid is gone was left by a crash."""
-        if holder is None or "@" not in holder:
+    def _is_stale(self, holder: str) -> bool:
+        """A same-host name whose pid is gone was left by a crash."""
+        if "@" not in holder:
             return False
         pid_text, host = holder.split("@", 1)
         if host != socket.gethostname():
@@ -187,6 +172,28 @@ class StoreLock:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
+
+
+def _read_name(fd: int) -> str | None:
+    """The ``pid@host`` written in the lockfile (None while empty)."""
+    return os.pread(fd, 256, 0).decode("ascii", "replace").strip() or None
+
+
+#: Locks this process holds, for :func:`_drop_in_forked_child`.
+_HELD: "weakref.WeakSet[StoreLock]" = weakref.WeakSet()
+
+
+def _drop_in_forked_child() -> None:
+    """The lock is the parent's: close the child's copy of each held
+    descriptor, so the kernel releases the lock when the *writer* dies,
+    not when its last orphaned pool worker does."""
+    for lock in list(_HELD):
+        os.close(lock._fd)
+        lock._fd = None
+    _HELD.clear()
+
+
+os.register_at_fork(after_in_child=_drop_in_forked_child)
 
 
 def _jitter() -> float:

@@ -14,6 +14,7 @@ from repro.bench.history import (
     load_baseline,
     load_history,
     new_run_id,
+    scaling_gate,
     write_baseline,
 )
 from repro.cli import main
@@ -150,6 +151,63 @@ def test_load_baseline_errors(tmp_path):
     empty.write_text("{}")
     with pytest.raises(GraftError, match="benchmarks"):
         load_baseline(empty)
+
+
+# -- the scaling gate: same records, same verdict, on any machine ----------
+
+
+def scaling_records(speedup, docs, cores):
+    """A serial anchor and a 4-shard process record ``speedup`` apart."""
+    def rec(name, wall_ms):
+        return bench_record(
+            name, run_id="run-a", wall_ms=wall_ms, rows=7,
+            params={"docs": docs, "cores": cores},
+        )
+
+    return {
+        "parallel_qps_s1": rec("parallel_qps_s1", 10.0),
+        "parallel_qps_s4_proc": rec("parallel_qps_s4_proc", 10.0 / speedup),
+    }
+
+
+@pytest.mark.parametrize("cores", (1, 2, 64))
+def test_scaling_gate_records_below_the_measured_scale(cores):
+    # 0.2x at 120 documents is what a 2-core box really measures: the
+    # gate must say so and pass, whatever the machine.
+    regressions, notes = scaling_gate(scaling_records(0.2, 120, cores))
+    assert regressions == []
+    assert len(notes) == 1
+    assert "recorded, not enforced" in notes[0]
+    assert ">= 4000 docs" in notes[0]
+    assert "0.20x" in notes[0] and f"{cores} cores" in notes[0]
+
+
+def test_scaling_gate_records_on_one_core_at_any_scale():
+    regressions, notes = scaling_gate(scaling_records(0.3, 4000, 1))
+    assert regressions == []
+    assert "recorded, not enforced" in notes[0]
+    assert ">= 2 cores" in notes[0] and ">= 4000 docs" not in notes[0]
+
+
+@pytest.mark.parametrize("cores", (2, 64))
+def test_scaling_gate_enforces_one_requirement_at_the_measured_scale(cores):
+    # No cores -> required-speedup ladder: 1.3x passes and 1.1x fails on
+    # 2 cores and on 64 alike.
+    regressions, notes = scaling_gate(scaling_records(1.3, 4000, cores))
+    assert regressions == []
+    assert notes[0].startswith("scaling gate OK")
+    regressions, notes = scaling_gate(scaling_records(1.1, 4000, cores))
+    assert [r.name for r in regressions] == ["parallel_qps_s4_proc"]
+    assert "1.10x" in regressions[0].message
+    assert notes[0].startswith("scaling gate FAILED")
+
+
+def test_scaling_gate_skips_without_records():
+    records = scaling_records(2.0, 4000, 2)
+    _, notes = scaling_gate({"parallel_qps_s1": records["parallel_qps_s1"]})
+    assert "no parallel_qps_s4_proc record" in notes[0]
+    _, notes = scaling_gate({})
+    assert "no serial anchor" in notes[0]
 
 
 # -- the CLI gate ----------------------------------------------------------

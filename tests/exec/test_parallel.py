@@ -2,15 +2,22 @@
 
 The headline property (the paper's score-consistency contract extended
 to physical distribution): for every shard count, every scheme, and
-every query, ``execute_sharded`` returns byte-for-byte the ranking the
+every query, the shard driver returns byte-for-byte the ranking the
 serial engine returns — same documents, same scores, same order.  It is
 checked exhaustively over the tiny suite and generatively over random
 corpora with hypothesis.
 
+There is one driver (``run_shards``) and two backends, so the protocol
+tests — equals-serial, ``top_k`` truncation, pruning, all-pruned with
+and without profiling, the ``max_rows`` split — are one body run over
+both (the ``sharded`` fixture); the process leg skips where worker
+processes cannot start.
+
 Resource-governance composition is tested through the ``guard_factory``
-seam: a fake clock expires the deadline inside exactly one shard, and
-the merged outcome must degrade exactly like a serial partial result
-(``on_limit="partial"``) or raise the serial exception
+seam, which only the in-process backend has (a closure cannot cross the
+pickle boundary): a fake clock expires the deadline inside exactly one
+shard, and the merged outcome must degrade exactly like a serial partial
+result (``on_limit="partial"``) or raise the serial exception
 (``on_limit="error"``)."""
 
 from __future__ import annotations
@@ -29,6 +36,11 @@ from repro.exec.parallel import (
     merge_ranked,
     required_keywords,
     split_limits,
+)
+from repro.exec.procpool import (
+    ProcPoolUnavailableError,
+    execute_sharded_process,
+    start_pool,
 )
 from repro.graft.optimizer import Optimizer
 from repro.index.builder import build_index
@@ -54,37 +66,69 @@ def _sharded(index, ctx, scheme, result, shards, **kw):
     )
 
 
+@pytest.fixture(scope="module")
+def tiny_pools(tiny_index):
+    """Worker pools over the tiny index, one per shard count, started
+    on first use and closed with the module."""
+    pools = {}
+
+    def pool_for(shards):
+        if shards not in pools:
+            try:
+                pools[shards] = start_pool(tiny_index, shards)
+            except ProcPoolUnavailableError as exc:
+                pytest.skip(f"process pool unavailable: {exc}")
+        return pools[shards]
+
+    yield pool_for
+    for pool in pools.values():
+        pool.close()
+
+
+@pytest.fixture(params=("thread", "process"))
+def sharded(request, tiny_index, tiny_ctx, tiny_pools):
+    """``run(scheme, result, shards, **kw)`` over the tiny index on one
+    backend of the shard driver."""
+    if request.param == "thread":
+        return lambda scheme, result, shards, **kw: _sharded(
+            tiny_index, tiny_ctx, scheme, result, shards, **kw
+        )
+    return lambda scheme, result, shards, **kw: execute_sharded_process(
+        tiny_pools(shards), ShardedIndex(tiny_index, shards),
+        result.plan, scheme, result.info, **kw
+    )
+
+
 # -- exact serial equivalence ---------------------------------------------
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("text", TINY_QUERIES)
 def test_sharded_equals_serial_all_schemes(
-    tiny_collection, tiny_index, tiny_ctx, shards, text
+    tiny_collection, tiny_index, tiny_ctx, sharded, shards, text
 ):
     query = parse_query(text, tiny_collection.analyzer)
     for scheme_name in SCHEME_NAMES:
         scheme = get_scheme(scheme_name)
         result = Optimizer(scheme, tiny_index).optimize(query)
         serial = _serial(tiny_index, tiny_ctx, scheme, result)
-        par = _sharded(tiny_index, tiny_ctx, scheme, result, shards)
+        par = sharded(scheme, result, shards)
         assert par.results == serial, (scheme_name, text, shards)
         assert par.tripped is None
         assert par.shard_count == shards
+        assert par.shards_pruned + len(par.shard_runs) == shards
 
 
 @pytest.mark.parametrize("shards", (2, 3))
 @pytest.mark.parametrize("top_k", (1, 2, 5))
 def test_top_k_truncation_matches_serial(
-    tiny_collection, tiny_index, tiny_ctx, shards, top_k
+    tiny_collection, tiny_index, tiny_ctx, sharded, shards, top_k
 ):
     query = parse_query("quick (fox | dog)", tiny_collection.analyzer)
     scheme = get_scheme("sumbest")
     result = Optimizer(scheme, tiny_index).optimize(query)
     serial = _serial(tiny_index, tiny_ctx, scheme, result, top_k=top_k)
-    par = _sharded(
-        tiny_index, tiny_ctx, scheme, result, shards, top_k=top_k
-    )
+    par = sharded(scheme, result, shards, top_k=top_k)
     assert par.results == serial
 
 
@@ -148,7 +192,7 @@ def test_required_keywords(tiny_collection, tiny_index):
 
 
 def test_pruned_shards_are_skipped_but_results_exact(
-    tiny_collection, tiny_index, tiny_ctx
+    tiny_collection, tiny_index, tiny_ctx, sharded
 ):
     # 'terrier' occurs only in doc 3: with one doc per shard, every other
     # shard is provably empty and must be pruned.
@@ -156,28 +200,43 @@ def test_pruned_shards_are_skipped_but_results_exact(
     scheme = get_scheme("anysum")
     result = Optimizer(scheme, tiny_index).optimize(query)
     serial = _serial(tiny_index, tiny_ctx, scheme, result)
-    par = _sharded(
-        tiny_index, tiny_ctx, scheme, result, tiny_index.num_docs
-    )
+    par = sharded(scheme, result, tiny_index.num_docs)
     assert par.results == serial
     assert par.shards_pruned == tiny_index.num_docs - 1
     assert len(par.shard_runs) == 1
 
 
+def _registry_count(family):
+    from repro.obs.metrics import REGISTRY
+
+    return family(REGISTRY).child().value
+
+
 def test_all_shards_pruned_returns_empty(
-    tiny_collection, tiny_index, tiny_ctx
+    tiny_collection, tiny_index, sharded
 ):
+    from repro.obs.metrics import proc_queries, shards_pruned
+
     query = parse_query("quick zebra", tiny_collection.analyzer)
     scheme = get_scheme("sumbest")
     result = Optimizer(scheme, tiny_index).optimize(query)
-    par = _sharded(tiny_index, tiny_ctx, scheme, result, 3)
+    sharded(scheme, result, 3)  # start the pool before counting
+    before = _registry_count(proc_queries), _registry_count(shards_pruned)
+    par = sharded(scheme, result, 3)
     assert par.results == []
     assert par.shards_pruned == 3
     assert par.shard_runs == []
+    assert par.trace_root is None
+    # One driver: a query answered by pruning alone is still a query of
+    # its backend, and its pruned shards still reach the registry.
+    assert _registry_count(shards_pruned) == before[1] + 3
+    assert _registry_count(proc_queries) == before[0] + (
+        par.executor == "process"
+    )
 
 
 def test_all_shards_pruned_still_traces_under_profile(
-    tiny_collection, tiny_index, tiny_ctx
+    tiny_collection, tiny_index, sharded
 ):
     # The observability contract promises a trace whenever profiling is
     # on — even when pruning proves the answer empty without running a
@@ -185,7 +244,7 @@ def test_all_shards_pruned_still_traces_under_profile(
     query = parse_query("quick zebra", tiny_collection.analyzer)
     scheme = get_scheme("sumbest")
     result = Optimizer(scheme, tiny_index).optimize(query)
-    par = _sharded(tiny_index, tiny_ctx, scheme, result, 3, profile=True)
+    par = sharded(scheme, result, 3, profile=True)
     assert par.results == []
     assert par.trace_root is not None
     assert par.trace_root.op_name == "ParallelMerge"
@@ -208,6 +267,8 @@ def test_split_limits():
     # Never split below one row.
     parts = split_limits(QueryLimits(max_rows=2), 5)
     assert [p.max_rows for p in parts] == [1, 1, 1, 1, 1]
+    # Every shard pruned: nothing to split, nothing to divide by.
+    assert split_limits(QueryLimits(max_rows=2), 0) == []
 
 
 def test_merge_ranked_is_exact_sort():
@@ -290,15 +351,13 @@ def test_mid_query_deadline_raises_on_error_mode(
 
 
 def test_max_rows_budget_splits_across_shards(
-    tiny_collection, tiny_index, tiny_ctx
+    tiny_collection, tiny_index, tiny_ctx, sharded
 ):
     query = parse_query("quick fox", tiny_collection.analyzer)
     scheme = get_scheme("sumbest")
     result = Optimizer(scheme, tiny_index).optimize(query)
     limits = QueryLimits(max_rows=3, on_limit="partial")
-    par = _sharded(
-        tiny_index, tiny_ctx, scheme, result, 2, limits=limits
-    )
+    par = sharded(scheme, result, 2, limits=limits)
     assert par.tripped == "max_rows"
     serial = dict(_serial(tiny_index, tiny_ctx, scheme, result))
     for doc, score in par.results:

@@ -1,13 +1,12 @@
-"""Process-parallel shard execution: exact serial equivalence across the
-process boundary, limit semantics that survive pickling, and the engine
-wiring (fallbacks, pool lifecycle, strict audit over the process path).
+"""The process backend: what only it can get wrong — tasks that cannot
+be shipped, limit errors that must survive pickling, pool lifecycle —
+and the engine wiring (fallbacks, strict audit over the process path).
 
-The headline property extends the thread driver's contract one layer
-further out: for every scheme and every query,
-:func:`repro.exec.procpool.execute_sharded_process` must merge worker
-results into byte-for-byte the ranking serial execution returns — the
-workers score through a shared-memory :class:`PackedIndex`, so this is
-also the end-to-end proof that the packed substrate is score-exact.
+The headline property — the merged ranking is byte-for-byte the serial
+one; the workers score through a shared-memory :class:`PackedIndex`, so
+it is also the end-to-end proof that the packed substrate is score-exact
+— is the shard driver's, and its exhaustive tests run over both backends
+in ``tests/exec/test_parallel.py``; the generative one is here.
 
 Every test that needs worker processes skips (rather than fails) where
 shared memory or process pools are unavailable, mirroring the engine's
@@ -44,7 +43,7 @@ from repro.obs.audit import AuditConfig
 from repro.sa.context import IndexScoringContext
 from repro.sa.registry import get_scheme
 
-from tests.conftest import SCHEME_NAMES, TINY_QUERIES
+from tests.conftest import SCHEME_NAMES
 
 
 def _make_pool(index, shards):
@@ -76,40 +75,6 @@ def _serial(index, ctx, scheme, result, **kw):
 
 
 # -- exact serial equivalence ---------------------------------------------
-
-
-@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
-def test_process_equals_serial_all_queries(
-    tiny_collection, tiny_index, tiny_ctx, pool2, scheme_name
-):
-    sharded = ShardedIndex(tiny_index, 2)
-    for text in TINY_QUERIES:
-        scheme, result = _optimize(
-            tiny_collection, tiny_index, scheme_name, text
-        )
-        serial = _serial(tiny_index, tiny_ctx, scheme, result)
-        par = execute_sharded_process(
-            pool2, sharded, result.plan, scheme, result.info
-        )
-        assert par.results == serial, (scheme_name, text)
-        assert par.tripped is None
-        assert par.shard_count == 2
-        assert par.shards_pruned + len(par.shard_runs) == 2
-
-
-@pytest.mark.parametrize("top_k", (1, 2, 5))
-def test_process_top_k_matches_serial(
-    tiny_collection, tiny_index, tiny_ctx, pool2, top_k
-):
-    scheme, result = _optimize(
-        tiny_collection, tiny_index, "sumbest", "quick (fox | dog)"
-    )
-    serial = _serial(tiny_index, tiny_ctx, scheme, result, top_k=top_k)
-    par = execute_sharded_process(
-        pool2, ShardedIndex(tiny_index, 2), result.plan, scheme,
-        result.info, top_k=top_k,
-    )
-    assert par.results == serial
 
 
 def test_unpicklable_scheme_is_unavailable_not_an_error(
@@ -262,16 +227,30 @@ def test_engine_process_bit_identical_with_strict_audit(tiny_collection):
         serial.close()
 
 
-def test_engine_profile_falls_back_to_thread(tiny_collection):
+def _trace_shape(node):
+    return (
+        node.label, node.stats.rows_out,
+        [_trace_shape(child) for child in node.children],
+    )
+
+
+def test_engine_profile_stays_on_processes(tiny_collection):
+    """Workers return their trace subtree: a profiled process search is
+    a process search, with the tree the thread backend builds."""
     engine = _engine_pair(tiny_collection)
+    threads = SearchEngine(tiny_collection, shards=2, executor="thread")
     try:
-        out = engine.search("quick fox", profile=True)
-        # No trace objects cross the pickle boundary: profiled queries
-        # run on threads, and still produce the trace tree.
-        assert out.executor == "thread"
-        assert out.stats is not None
+        for text in ("quick fox", "quick (fox | dog)", "quick zebra"):
+            out = engine.search(text, profile=True)
+            ref = threads.search(text, profile=True)
+            assert out.executor == "process"
+            assert ref.executor == "thread"
+            assert out.stats.op_name == "ParallelMerge"
+            assert _trace_shape(out.stats) == _trace_shape(ref.stats)
+            assert out.wall_ms is not None
     finally:
         engine.close()
+        threads.close()
 
 
 def test_engine_add_invalidates_pool():

@@ -1,10 +1,12 @@
-"""Writer-lock retry/backoff and the stale-break race.
+"""Writer-lock retry/backoff and the stale-lock race.
 
 The dangerous interleaving: two openers both observe a stale (dead-pid)
 ``LOCK``, both break it, and the second breaker's removal deletes the
-*first breaker's freshly created* lock — two live writers.  The break
-goes through an atomic rename claim, so these tests hammer N
-simultaneous breakers and assert the exactly-one-holder invariant.
+*first breaker's freshly created* lock — two live writers.  The lock is
+an OS file lock held on ``LOCK``, so a dead writer's file is simply
+unlocked and nobody unlinks or renames a file they do not hold; these
+tests hammer N simultaneous openers and assert the exactly-one-holder
+invariant.
 """
 
 from __future__ import annotations
@@ -136,6 +138,55 @@ def test_simultaneous_stale_breakers_yield_exactly_one_holder(
         assert (root / LOCK_NAME).exists()
         assert str(os.getpid()) in (root / LOCK_NAME).read_text()
         winners[0].release()
+
+
+def test_crashed_writer_with_a_live_forked_child_leaves_no_lock(tmp_path):
+    """A pool worker forked while the writer held the lock shares its
+    open file description; it must not keep the lock alive after the
+    writer dies."""
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent(f"""
+        import os, sys, time
+        from repro.index.store.lock import StoreLock
+        lock = StoreLock({str(tmp_path)!r}).acquire()
+        child = os.fork()
+        if child == 0:
+            os.close(1)  # or the test waits for the orphan's end of the pipe
+            time.sleep(60)
+            os._exit(0)
+        sys.stdout.write(str(child))
+        sys.stdout.flush()
+        os._exit(1)  # the writer crashes: no release, no unlink
+    """)
+    crashed = subprocess.run(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    orphan = int(crashed.stdout)
+    try:
+        assert crashed.returncode == 1
+        assert (tmp_path / LOCK_NAME).exists()
+        lock = StoreLock(tmp_path).acquire()
+        assert str(os.getpid()) in (tmp_path / LOCK_NAME).read_text()
+        lock.release()
+    finally:
+        os.kill(orphan, signal.SIGKILL)
+
+
+def test_release_leaves_a_lock_it_does_not_hold_alone(tmp_path):
+    first = StoreLock(tmp_path).acquire()
+    (tmp_path / LOCK_NAME).unlink()  # "remove a stale LOCK file" by hand
+    second = StoreLock(tmp_path).acquire()
+    first.release()
+    assert second.held and (tmp_path / LOCK_NAME).exists()
+    with pytest.raises(StoreLockedError):
+        StoreLock(tmp_path).acquire()
+    second.release()
+    assert not (tmp_path / LOCK_NAME).exists()
 
 
 def test_engine_open_breaks_stale_lock_end_to_end(tmp_path):

@@ -61,6 +61,26 @@ def test_search_profile_json_has_trace(index_dir, capsys):
     assert payload["metrics"]["rows_charged"] >= 0
 
 
+def test_search_process_profile_json_keeps_executor_and_trace(
+    index_dir, capsys
+):
+    """Workers return their trace subtree, so --profile no longer sends
+    a process search back to threads."""
+    payload, err = _run_json(capsys, [
+        "search", index_dir, "alpha beta", "--json", "--profile",
+        "--shards", "2", "--executor", "process",
+    ])
+    if payload["executor"] != "process":
+        pytest.skip(f"process executor unavailable here: {err.strip()}")
+    assert payload["shards"] == 2
+    assert payload["trace"] is not None
+    assert payload["trace"]["op"] == "ParallelMerge"
+    assert payload["trace"]["rows_out"] == len(payload["results"])
+    assert payload["wall_ms"] >= 0
+    serial, _ = _run_json(capsys, ["search", index_dir, "alpha beta", "--json"])
+    assert payload["results"] == serial["results"]
+
+
 def test_search_audit_json(index_dir, capsys):
     payload, _ = _run_json(
         capsys, ["search", index_dir, "alpha beta", "--json", "--audit"]
