@@ -27,7 +27,7 @@ from repro.errors import (
     ResourceExhaustedError,
 )
 from repro.exec.cache import CacheConfig, LRUCache
-from repro.exec.engine import execute, make_runtime, validate_top_k
+from repro.exec.engine import make_runtime, validate_top_k
 from repro.exec.iterator import ExecutionMetrics, pull_doc
 from repro.exec.limits import QueryGuard, QueryLimits
 from repro.exec.parallel import ParallelResult, note_fallback, run_plan
@@ -39,6 +39,7 @@ if TYPE_CHECKING:
     import pathlib
 
     from repro.exec.faults import FaultInjector
+    from repro.index.packed import PackedIndex
     from repro.index.shard import ShardedIndex
     from repro.index.store import IndexStore, StoreFaultInjector, StoreLock
     from repro.obs.audit import AuditConfig, AuditEvent, Auditor
@@ -190,7 +191,9 @@ class SearchEngine:
         self.collection = (
             collection if collection is not None else DocumentCollection(analyzer)
         )
-        self._index: Index | None = None
+        #: What ``add`` invalidates: the builder's object index, or the
+        #: packed blob a store generation was loaded as.
+        self._index: "Index | PackedIndex | None" = None
         self._ctx_override = scoring_context
         self._store: "IndexStore | None" = None
         self._lock: "StoreLock | None" = None
@@ -211,7 +214,7 @@ class SearchEngine:
         #: ``_sharded``).  ``_proc_unavailable`` latches a failed pool
         #: start so unavailable environments pay the probe only once.
         self._procpool = None
-        self._procpool_base: Index | None = None
+        self._procpool_base: "Index | PackedIndex | None" = None
         self._proc_unavailable = False
         self.cache_config = cache if cache is not None else CacheConfig()
         self._plan_cache = LRUCache(self.cache_config.plan_capacity)
@@ -252,8 +255,9 @@ class SearchEngine:
         return [self.add(text) for text in texts]
 
     @property
-    def index(self) -> Index:
-        """The index, built on first use and after any mutation."""
+    def index(self) -> "Index | PackedIndex":
+        """The index: as loaded from a store generation, else built from
+        the collection on first use and after any mutation."""
         if self._index is None:
             self._index = build_index(self.collection)
         return self._index
@@ -773,18 +777,17 @@ class SearchEngine:
             )
         if analyze:
             from repro.obs.analyze import annotate_estimates, render_analyze
-            from repro.obs.trace import Tracer
 
-            tracer = Tracer()
-            runtime = make_runtime(
-                self.index, scheme, result.info, self.scoring_context(),
-                tracer=tracer,
+            run = run_plan(
+                self.index, result.plan, scheme, result.info,
+                self._ctx_override, profile=True,
             )
-            execute(result.plan, runtime)
-            annotate_estimates(tracer.root, self.index)
+            annotate_estimates(run.trace_root, self.index)
             sections.append(
                 "-- analyze\n"
-                + render_analyze(tracer.root, total_ns=tracer.total_ns)
+                + render_analyze(
+                    run.trace_root, total_ns=int(run.wall_ms * 1e6)
+                )
             )
         return "\n\n".join(sections)
 
@@ -912,22 +915,28 @@ class SearchEngine:
     def load(cls, directory, analyzer: Analyzer | None = None) -> "SearchEngine":
         """Restore an engine saved with :meth:`save` (read-only).
 
-        Verifies every file's checksum against the store manifest and
+        Verifies every file's checksum against the store manifest,
+        serves queries from the generation's packed index as loaded, and
         replays write-ahead-logged documents added since the last
         checkpoint; damage raises
         :class:`repro.errors.IndexCorruptionError` naming the bad file.
-        Legacy (pre-store, v1 layout) directories load via a migration
-        shim.  Takes no lock — concurrent readers are always safe.
+        A pre-store directory is loaded from its ``documents.jsonl``
+        (the index is rebuilt on first use); a directory with neither a
+        store nor a documents file raises
+        :class:`repro.errors.IndexError_`.  Takes no lock — concurrent
+        readers are always safe.
         """
         from repro.index.store import IndexStore
 
         if IndexStore.is_store(directory):
             return cls._load_from_store(IndexStore.open(directory), analyzer)
-        from repro.corpus.io import load_collection
-        from repro.index.io import load_index
-
-        engine = cls(load_collection(directory, analyzer))
-        engine._index = load_index(directory)
+        engine = cls._load_documents(directory, analyzer)
+        if engine is None:
+            raise IndexError_(
+                f"no index under {directory} (neither a store MANIFEST nor "
+                f"documents.jsonl); build one with "
+                f"'repro index DOCS_DIR {directory}'"
+            )
         return engine
 
     @classmethod
@@ -946,8 +955,8 @@ class SearchEngine:
         :meth:`add` is WAL-logged durably, and :meth:`checkpoint`
         compacts the log into a new generation.  Opening repairs crash
         residue: a torn WAL tail is truncated and stale generations are
-        garbage-collected.  A legacy v1 directory is migrated to the
-        store format in place.
+        garbage-collected.  A pre-store directory is migrated in place
+        from its ``documents.jsonl``.
 
         Args:
             directory: Store directory (created if missing).
@@ -966,7 +975,9 @@ class SearchEngine:
                 store.gc()
                 engine = cls._load_from_store(store, analyzer)
             else:
-                engine = cls._open_fresh_or_legacy(directory, analyzer)
+                engine = cls._load_documents(directory, analyzer) or cls(
+                    analyzer=analyzer
+                )
                 store.checkpoint(
                     engine_payload(engine.index, engine.collection),
                     doc_count=len(engine.collection),
@@ -1058,7 +1069,7 @@ class SearchEngine:
     ) -> "SearchEngine":
         from repro.corpus.io import add_record, collection_from_bytes
         from repro.errors import IndexCorruptionError
-        from repro.index.store import DOCS_FILE
+        from repro.index.store import DOCS_FILE, INDEX_FILE
 
         blobs = store.read_all_verified()
         if DOCS_FILE not in blobs:
@@ -1073,7 +1084,10 @@ class SearchEngine:
                 f"manifest records {store.manifest.doc_count}",
                 path=docs_source,
             )
-        index = store.load_index(blobs)
+        # The packed index is served as loaded.  A generation from before
+        # ``index.pk`` has none, and WAL'd documents postdate it: either
+        # way the index is rebuilt from the collection on first use.
+        index = store.load_index(blobs) if store.has_file(INDEX_FILE) else None
         replayed = store.wal_records()
         for record in replayed:
             add_record(collection, record)
@@ -1082,25 +1096,25 @@ class SearchEngine:
 
             wal_replayed().child().inc(len(replayed))
         engine = cls(collection)
-        # WAL'd documents postdate the checkpointed index; rebuild lazily.
         engine._index = index if not replayed else None
         engine._loaded_generation = store.manifest.generation
         return engine
 
     @classmethod
-    def _open_fresh_or_legacy(
+    def _load_documents(
         cls, directory, analyzer: Analyzer | None
-    ) -> "SearchEngine":
+    ) -> "SearchEngine | None":
+        """An engine over a pre-store directory's documents file — the
+        source of truth, so the index is simply rebuilt from it on first
+        use — or None when the directory has none."""
         import pathlib
 
         from repro.corpus.io import load_collection
-        from repro.index.io import load_index
+        from repro.index.store import DOCS_FILE
 
-        if (pathlib.Path(directory) / "meta.json").exists():
-            engine = cls(load_collection(directory, analyzer))
-            engine._index = load_index(directory)
-            return engine
-        return cls(analyzer=analyzer)
+        if not (pathlib.Path(directory) / DOCS_FILE).exists():
+            return None
+        return cls(load_collection(directory, analyzer))
 
     # -- helpers -----------------------------------------------------------------
 

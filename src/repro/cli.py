@@ -27,8 +27,8 @@ require running; ``--trace-rules`` appends the optimizer's rewrite
 log); ``verify`` audits every checksum and structural invariant of a
 store; ``checkpoint`` compacts write-ahead-logged documents into a new
 atomic generation; ``metrics`` exports this process's metrics registry.
-``search``/``explain``/``verify`` also accept legacy (v1, pre-store)
-index directories.  ``search --audit`` shadow-executes the canonical
+``search``/``explain`` also read a pre-store directory through its
+``documents.jsonl``.  ``search --audit`` shadow-executes the canonical
 score-isolated plan and exits 3 on a score-consistency divergence;
 ``qlog`` tails or aggregates a structured query log written by
 :class:`repro.obs.qlog.QueryLog`; ``bench`` runs the paper workload,
@@ -50,17 +50,13 @@ import sys
 from repro.corpus.analyzer import SentenceAnalyzer, SimpleAnalyzer
 from repro.corpus.collection import DocumentCollection
 from repro.errors import GraftError
-from repro.exec.engine import execute, make_runtime
 from repro.exec.limits import QueryLimits
 from repro.exec.parallel import run_plan
 from repro.graft.explain import explain as explain_plan
 from repro.graft.optimizer import Optimizer
 from repro.index.index import Index
-from repro.index.io import load_index
 from repro.mcalc.parser import parse_query
 from repro.sa.registry import available_schemes, get_scheme
-
-_TITLES = "titles.json"
 
 
 def _add_sharding_options(p: argparse.ArgumentParser) -> None:
@@ -395,7 +391,7 @@ def _warn(message: str) -> None:
 
 
 def _load(args: argparse.Namespace) -> tuple[Index, list[str]]:
-    """Load the index and titles from a store or legacy directory.
+    """Load the index and titles from a store or a pre-store directory.
 
     A missing title list degrades output (results show bare doc ids), so
     it is warned about explicitly instead of silently substituting [].
@@ -420,17 +416,10 @@ def _load(args: argparse.Namespace) -> tuple[Index, list[str]]:
             )
             titles = []
         return index, titles
-    index = load_index(index_dir)
-    titles_path = index_dir / _TITLES
-    if titles_path.exists():
-        titles = json.loads(titles_path.read_text())
-    else:
-        _warn(
-            f"no {_TITLES} in {index_dir}; results will show bare doc "
-            f"ids instead of titles"
-        )
-        titles = []
-    return index, titles
+    from repro.api import SearchEngine
+
+    engine = SearchEngine.load(index_dir)
+    return engine.index, [doc.title for doc in engine.collection]
 
 
 def _optimize(args: argparse.Namespace, index: Index):
@@ -556,18 +545,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     index, _ = _load(args)
     scheme, result = _optimize(args, index)
     analyze_root = None
-    total_ns = None
+    wall_ms = None
     if args.analyze:
         from repro.obs.analyze import annotate_estimates
-        from repro.obs.trace import Tracer
 
-        tracer = Tracer()
-        runtime = make_runtime(index, scheme, result.info,
-                               limits=_limits_from_args(args), tracer=tracer)
-        execute(result.plan, runtime)
-        annotate_estimates(tracer.root, index)
-        analyze_root = tracer.root
-        total_ns = tracer.total_ns
+        run = run_plan(index, result.plan, scheme, result.info,
+                       limits=_limits_from_args(args), profile=True)
+        annotate_estimates(run.trace_root, index)
+        analyze_root = run.trace_root
+        wall_ms = run.wall_ms
     if args.json:
         payload = {
             "query": args.query,
@@ -581,7 +567,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             "trace": (
                 analyze_root.to_dict() if analyze_root is not None else None
             ),
-            "wall_ms": total_ns / 1e6 if total_ns is not None else None,
+            "wall_ms": wall_ms,
         }
         print(json.dumps(payload))
         return 0
@@ -600,39 +586,27 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
         print()
         print("analyze:")
-        print(render_analyze(analyze_root, total_ns=total_ns))
+        print(render_analyze(analyze_root, total_ns=int(wall_ms * 1e6)))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.index.store import IndexStore
 
-    index_dir = pathlib.Path(args.index_dir)
-    if IndexStore.is_store(index_dir):
-        report = IndexStore.open(index_dir).verify()
-        if report["wal_torn_bytes"]:
-            _warn("torn WAL tail present (interrupted append); it will "
-                  "be truncated on the next writer open")
-        if args.json:
-            print(json.dumps({"ok": True, "format": "store", **report}))
-            return 0
-        print(f"store OK: generation {report['generation']}, "
-              f"{report['doc_count']} documents")
-        for name, size in sorted(report["files"].items()):
-            print(f"  {name:20} {size:10d} bytes  sha256 verified")
-        print(f"  WAL: {report['wal_records']} records "
-              f"({report['wal_pending']} pending checkpoint, "
-              f"{report['wal_torn_bytes']} torn bytes)")
-        return 0
-    # Legacy v1 layout: no checksums to audit, but a full decode still
-    # proves structural integrity.
-    load_index(index_dir)
+    report = IndexStore.open(args.index_dir).verify()
+    if report["wal_torn_bytes"]:
+        _warn("torn WAL tail present (interrupted append); it will "
+              "be truncated on the next writer open")
     if args.json:
-        print(json.dumps({"ok": True, "format": "legacy-v1",
-                          "path": str(index_dir)}))
+        print(json.dumps({"ok": True, "format": "store", **report}))
         return 0
-    print(f"legacy (v1) index OK under {index_dir} — no checksums; "
-          f"re-save to upgrade to the crash-safe store format")
+    print(f"store OK: generation {report['generation']}, "
+          f"{report['doc_count']} documents")
+    for name, size in sorted(report["files"].items()):
+        print(f"  {name:20} {size:10d} bytes  sha256 verified")
+    print(f"  WAL: {report['wal_records']} records "
+          f"({report['wal_pending']} pending checkpoint, "
+          f"{report['wal_torn_bytes']} torn bytes)")
     return 0
 
 

@@ -74,14 +74,7 @@ def save_collection(
     """Write ``collection`` as JSON lines under ``directory``."""
     path = pathlib.Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / _DOCS, "w") as out:
-        for doc in collection:
-            out.write(json.dumps({
-                "title": doc.title,
-                "tokens": list(doc.tokens),
-                "sentence_starts": list(doc.sentence_starts),
-            }))
-            out.write("\n")
+    (path / _DOCS).write_bytes(collection_to_bytes(collection))
     return path
 
 

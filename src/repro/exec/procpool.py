@@ -7,7 +7,8 @@ this repo's own benchmark).  This module gives the one shard driver
 GIL — without pickling the index:
 
 1. :class:`SharedIndexPublication` copies one packed blob
-   (:func:`repro.index.packed.pack_index`) into a
+   (:func:`repro.index.packed.pack_index` — for an engine loaded from a
+   store, the ``index.pk`` bytes it already serves from) into a
    ``multiprocessing.shared_memory`` segment.  The blob is sealed: a
    publication is created per index generation and never mutated.
 2. Workers attach by name, wrap the buffer in a zero-copy
@@ -268,10 +269,12 @@ def default_worker_count(num_shards: int) -> int:
 
 
 def start_pool(index, num_shards: int) -> ProcessShardPool:
-    """Pack ``index``, publish the blob, start the workers.
+    """Publish ``index``'s packed blob, start the workers.
 
-    Raises :class:`ProcPoolUnavailableError` when any of the three
-    cannot be done here.
+    The blob is the one a loaded engine already holds; an index built
+    in memory is packed here, once.  Raises
+    :class:`ProcPoolUnavailableError` when packing, publishing or
+    starting workers cannot be done here.
     """
     from repro.index.packed import pack_index
 

@@ -8,7 +8,6 @@ seeking forward (the skip pointers that make zig-zag joins effective).
 """
 
 from repro.index.builder import IndexBuilder, build_index
-from repro.index.io import load_index, save_index
 from repro.index.index import Index
 from repro.index.postings import PositionPostings
 from repro.index.scan import DocumentScan, PositionScan
@@ -18,8 +17,6 @@ __all__ = [
     "Index",
     "IndexBuilder",
     "build_index",
-    "save_index",
-    "load_index",
     "PositionPostings",
     "PositionScan",
     "DocumentScan",

@@ -61,17 +61,3 @@ def build_index(collection: DocumentCollection) -> Index:
     for doc in collection:
         builder.add_document(doc.doc_id, doc.tokens, doc.sentence_starts)
     return builder.build()
-
-
-def build_packed_index(collection: DocumentCollection):
-    """Build the collection's index directly in packed form.
-
-    Convenience for callers that only ever read (benchmarks, worker
-    smoke tests): builds the object index once, serializes it through
-    :func:`repro.index.packed.pack_index`, and returns the
-    :class:`repro.index.packed.PackedIndex` decoding view over the
-    blob.  The engine itself packs lazily via its own cache instead.
-    """
-    from repro.index.packed import PackedIndex, pack_index
-
-    return PackedIndex(pack_index(build_index(collection)))

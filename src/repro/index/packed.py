@@ -1,10 +1,9 @@
-"""Packed postings: the compact binary substrate behind parallel search.
+"""Packed postings: the one index format — persisted, served, shared.
 
 The object substrate (:mod:`repro.index.postings`) stores one Python
-object per term with per-document offset tuples — convenient, but every
-worker that wants the index must either share the CPython heap (and the
-GIL) or pickle the whole structure.  This module lays the entire index
-out as **one flat byte blob**:
+object per term with per-document offset tuples — what the builder
+produces after an ``add``, and nothing else.  Everything that outlives
+the builder is **one flat byte blob** in the layout this module owns:
 
 * a checksum-framed header (magic, version, JSON term directory);
 * three statistics sections (document lengths, sentence-start counts
@@ -14,10 +13,14 @@ out as **one flat byte blob**:
   absolute positions — each frame carrying its own CRC32, mirroring
   the WAL's torn-vs-corrupt framing (:mod:`repro.index.store.wal`).
 
-Because the blob is position-independent bytes, a sealed generation can
-be published once into ``multiprocessing.shared_memory`` and attached
-read-only by every worker process (:mod:`repro.exec.procpool`) — no
-pickling, no per-worker heap copy.
+The blob is the store's index file (``index.pk`` in every generation,
+:mod:`repro.index.store`), what a loaded engine serves queries from,
+and — because it is position-independent bytes — what a sealed
+generation publishes into ``multiprocessing.shared_memory`` for every
+worker process to attach read-only (:mod:`repro.exec.procpool`): no
+second codec, no pickling, no per-worker heap copy, and no re-encoding
+between disk, engine and workers (:func:`pack_index` of a
+:class:`PackedIndex` is its own bytes).
 
 Decoding is batched, not per-entry: a term's doc ids materialize with a
 single ``np.cumsum`` over the delta array, and the per-document offset
@@ -40,6 +43,7 @@ import json
 import struct
 import zlib
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -74,54 +78,99 @@ def _align8(n: int) -> int:
 # -- encoding -----------------------------------------------------------------
 
 
-def _pack_frame(term: str, postings: PositionPostings) -> bytes:
-    """One term's checksum-framed binary frame."""
-    doc_ids = np.ascontiguousarray(postings.doc_ids, dtype=np.int64)
-    n = len(doc_ids)
-    if n and (int(doc_ids[0]) < 0 or int(doc_ids[-1]) > _U32_MAX):
-        raise IndexError_(
-            f"term {term!r}: doc ids outside the packable range [0, 2^32)"
-        )
-    deltas = np.diff(doc_ids, prepend=np.int64(0))
-    # The first gap is the first doc id (>= 0, range-checked above);
-    # every later gap must be positive — strictly increasing doc ids.
-    if n > 1 and int(deltas[1:].min()) <= 0:
-        raise IndexError_(
-            f"term {term!r}: doc ids must be strictly increasing"
-        )
-    try:
-        counts = np.fromiter(
-            (len(o) for o in postings.offsets), dtype=np.uint32, count=n
-        )
-        n_pos = int(counts.sum(dtype=np.int64)) if n else 0
-        positions = np.fromiter(
-            (p for offs in postings.offsets for p in offs),
-            dtype=np.uint32,
-            count=n_pos,
-        )
-    except (OverflowError, ValueError) as exc:
-        raise IndexError_(
-            f"term {term!r}: positions outside the packable range: {exc}"
-        ) from None
-    body = b"".join(
-        (
-            _FRAME_HEAD.pack(_FRAME_MAGIC, n, n_pos),
-            deltas.astype(np.uint32).tobytes(),
-            counts.tobytes(),
-            positions.tobytes(),
-        )
+def _bounds(counts) -> np.ndarray:
+    """Run boundaries ``[0, c0, c0+c1, ...]`` for a sequence of counts."""
+    counts = np.fromiter(counts, dtype=np.int64)
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
+
+
+def _reject(
+    bad: np.ndarray, bounds: np.ndarray, terms: list[str], problem: str
+) -> None:
+    """Raise :class:`IndexError_` naming the first term with a flagged
+    value (``bounds`` carve the flat array ``bad`` flags per term)."""
+    if bad.any():
+        term = terms[int(np.searchsorted(bounds, np.argmax(bad), "right")) - 1]
+        raise IndexError_(f"term {term!r}: {problem}")
+
+
+def _unpackable(values: np.ndarray) -> np.ndarray:
+    return (values < 0) | (values > _U32_MAX)
+
+
+def _pack_frames(index: Index) -> Iterator[tuple[str, bytes]]:
+    """``(term, checksum-framed frame)`` for every term, in sorted order.
+
+    The whole index is encoded in a handful of array passes — one
+    concatenated doc-id array, one gap array, one count array, one
+    position array — and only slicing and the CRC happen per term.
+    """
+    terms = sorted(index.terms)
+    if not terms:
+        return
+    postings = [index.terms[term] for term in terms]
+    doc_bounds = _bounds(len(p.doc_ids) for p in postings)
+    doc_ids = np.concatenate(
+        [np.asarray(p.doc_ids, dtype=np.int64) for p in postings]
     )
-    return body + _U32.pack(_crc(body))
+    entries = list(chain.from_iterable(p.offsets for p in postings))
+    entry_bounds = _bounds(map(len, entries))
+    pos_bounds = entry_bounds[doc_bounds]
+    try:
+        positions = np.fromiter(
+            chain.from_iterable(entries), dtype=np.int64,
+            count=int(entry_bounds[-1]),
+        )
+    except OverflowError as exc:
+        raise IndexError_(
+            f"positions outside the packable range: {exc}"
+        ) from None
+
+    # Gaps between consecutive doc ids; a term's first gap is its first
+    # doc id, and every later one must be positive (strictly increasing).
+    gaps = np.diff(doc_ids, prepend=np.int64(0))
+    firsts = doc_bounds[:-1][np.diff(doc_bounds) > 0]
+    gaps[firsts] = doc_ids[firsts]
+    unordered = gaps <= 0
+    unordered[firsts] = False
+    outside = "outside the packable range [0, 2^32)"
+    _reject(_unpackable(doc_ids), doc_bounds, terms, f"doc ids {outside}")
+    _reject(unordered, doc_bounds, terms, "doc ids must be strictly increasing")
+    _reject(_unpackable(positions), pos_bounds, terms, f"positions {outside}")
+    gap_bytes, count_bytes, pos_bytes = (
+        memoryview(array.astype(np.uint32)).cast("B")
+        for array in (gaps, np.diff(entry_bounds), positions)
+    )
+    doc_cuts = (4 * doc_bounds).tolist()
+    pos_cuts = (4 * pos_bounds).tolist()
+    for i, term in enumerate(terms):
+        a, b = doc_cuts[i], doc_cuts[i + 1]
+        c, d = pos_cuts[i], pos_cuts[i + 1]
+        body = b"".join(
+            (
+                _FRAME_HEAD.pack(_FRAME_MAGIC, (b - a) // 4, (d - c) // 4),
+                gap_bytes[a:b],
+                count_bytes[a:b],
+                pos_bytes[c:d],
+            )
+        )
+        yield term, body + _U32.pack(_crc(body))
 
 
-def pack_index(index: Index) -> bytes:
+def pack_index(index: "Index | PackedIndex") -> bytes:
     """Serialize ``index`` into one flat packed blob.
 
     The blob is self-describing and position-independent: header
     (magic + version + JSON directory + CRC), then 8-aligned payload
     sections.  Raises :class:`repro.errors.IndexError_` when a value
     does not fit the fixed-width layout (doc ids / positions >= 2^32).
+    A :class:`PackedIndex` already is its blob: those bytes are returned
+    as they are, nothing is re-encoded.
     """
+    if isinstance(index, PackedIndex):
+        return index.blob
     stats = index.stats
     num_docs = stats.num_docs
     doc_lengths = np.ascontiguousarray(stats.doc_lengths, dtype=np.int64)
@@ -130,50 +179,47 @@ def pack_index(index: Index) -> bytes:
         raise IndexError_(
             f"sentence_starts covers {len(sent)} docs, stats say {num_docs}"
         )
-    sent_counts = np.fromiter(
-        (len(s) for s in sent), dtype=np.uint32, count=num_docs
-    )
-    total_sent = int(sent_counts.sum(dtype=np.int64)) if num_docs else 0
+    sent_bounds = _bounds(map(len, sent))
+    sent_counts = np.diff(sent_bounds).astype(np.uint32)
     try:
         sent_values = np.fromiter(
-            (v for starts in sent for v in starts),
-            dtype=np.uint32,
-            count=total_sent,
+            chain.from_iterable(sent), dtype=np.uint32,
+            count=int(sent_bounds[-1]),
         )
     except (OverflowError, ValueError) as exc:
         raise IndexError_(
             f"sentence offsets outside the packable range: {exc}"
         ) from None
 
+    chunks: list[bytes] = []
+    size = 0
+
+    def _append(data: bytes) -> list[int]:
+        """Add ``data`` 8-aligned; its ``[offset, size]`` directory entry."""
+        nonlocal size
+        pad = _align8(size) - size
+        chunks.append(b"\x00" * pad)
+        chunks.append(data)
+        entry = [size + pad, len(data)]
+        size += pad + len(data)
+        return entry
+
     sections: dict[str, list[int]] = {}
-    payload = bytearray()
-
-    def _append(name: str, data: bytes) -> None:
-        pad = _align8(len(payload)) - len(payload)
-        payload.extend(b"\x00" * pad)
-        sections[name] = [len(payload), len(data)]
-        payload.extend(data)
-
-    _append("doc_lengths", doc_lengths.tobytes())
-    _append("sentence_counts", sent_counts.tobytes())
-    _append("sentence_values", sent_values.tobytes())
     sections_crc = 0
-    for name in ("doc_lengths", "sentence_counts", "sentence_values"):
-        off, size = sections[name]
-        sections_crc = _crc(bytes(payload[off : off + size]), sections_crc)
-
-    terms: dict[str, list[int]] = {}
-    for term in sorted(index.terms):
-        frame = _pack_frame(term, index.terms[term])
-        pad = _align8(len(payload)) - len(payload)
-        payload.extend(b"\x00" * pad)
-        terms[term] = [len(payload), len(frame)]
-        payload.extend(frame)
+    for name, array in (
+        ("doc_lengths", doc_lengths),
+        ("sentence_counts", sent_counts),
+        ("sentence_values", sent_values),
+    ):
+        data = array.tobytes()
+        sections[name] = _append(data)
+        sections_crc = _crc(data, sections_crc)
+    terms = {term: _append(frame) for term, frame in _pack_frames(index)}
 
     header = json.dumps(
         {
             "num_docs": num_docs,
-            "payload_size": len(payload),
+            "payload_size": size,
             "sections": sections,
             "sections_crc": sections_crc,
             "terms": terms,
@@ -187,41 +233,41 @@ def pack_index(index: Index) -> bytes:
     head += header
     head += _U32.pack(_crc(header))
     head.extend(b"\x00" * (_align8(len(head)) - len(head)))
-    return bytes(head) + bytes(payload)
+    return b"".join((head, *chunks))
 
 
 # -- decoded views ------------------------------------------------------------
 
 
 class _LazyPositionList:
-    """The positions buffer as a Python list, materialized once and
-    shared by a term's postings and every doc-range slice of it (offset
-    tuples are built by slicing this list — batch ``tolist`` beats
-    per-int conversion by a wide margin)."""
+    """The positions buffer and its run bounds as Python lists,
+    materialized once and shared by a term's postings and every
+    doc-range slice of it (offset tuples are built by slicing these
+    lists — batch ``tolist`` beats per-int conversion by a wide margin)."""
 
-    __slots__ = ("_arr", "_list")
+    __slots__ = ("_arr", "_starts", "_lists")
 
-    def __init__(self, arr: np.ndarray):
+    def __init__(self, arr: np.ndarray, starts: np.ndarray):
         self._arr = arr
-        self._list: list[int] | None = None
+        self._starts = starts
+        self._lists: tuple[list[int], list[int]] | None = None
 
-    def list(self) -> list[int]:
-        if self._list is None:
-            self._list = self._arr.tolist()
-        return self._list
+    def lists(self) -> tuple[list[int], list[int]]:
+        """``(positions, run bounds)``: run ``j`` is
+        ``positions[bounds[j]:bounds[j + 1]]``."""
+        if self._lists is None:
+            self._lists = (self._arr.tolist(), self._starts.tolist())
+        return self._lists
 
 
 class _PackedOffsets:
     """``offsets[i]`` view over the shared positions buffer: run ``i``
     of the owning (possibly sliced) postings as a tuple."""
 
-    __slots__ = ("_shared", "_starts", "_lo", "_n")
+    __slots__ = ("_shared", "_lo", "_n")
 
-    def __init__(
-        self, shared: _LazyPositionList, starts: np.ndarray, lo: int, n: int
-    ):
+    def __init__(self, shared: _LazyPositionList, lo: int, n: int):
         self._shared = shared
-        self._starts = starts
         self._lo = lo
         self._n = n
 
@@ -234,8 +280,8 @@ class _PackedOffsets:
         if not 0 <= i < self._n:
             raise IndexError(i)
         j = self._lo + i
-        plist = self._shared.list()
-        return tuple(plist[self._starts[j] : self._starts[j + 1]])
+        positions, bounds = self._shared.lists()
+        return tuple(positions[bounds[j] : bounds[j + 1]])
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         for i in range(self._n):
@@ -294,7 +340,7 @@ class PackedPositionPostings:
     def offsets(self) -> _PackedOffsets:
         if self._off is None:
             self._off = _PackedOffsets(
-                self._shared, self._starts, self._lo, self._hi - self._lo
+                self._shared, self._lo, self._hi - self._lo
             )
         return self._off
 
@@ -444,6 +490,8 @@ class PackedIndex:
             self._sections: dict[str, list[int]] = header["sections"]
             self._sections_crc = int(header["sections_crc"])
             num_docs = int(header["num_docs"])
+            if not isinstance(self._directory, dict):
+                raise TypeError("term directory is not an object")
         except (KeyError, TypeError, ValueError) as exc:
             raise IndexCorruptionError(
                 f"malformed packed header: {exc}", path=src
@@ -477,6 +525,12 @@ class PackedIndex:
         if verify:
             self.verify()
 
+    @property
+    def blob(self) -> bytes:
+        """Exactly the packed bytes this index reads (the buffer it was
+        opened over may be longer: shared-memory segments round up)."""
+        return bytes(self._mv[: self._base + self._payload_size])
+
     # -- zero-copy section / frame access ---------------------------------
 
     def _section(self, name: str, dtype) -> np.ndarray:
@@ -500,10 +554,15 @@ class PackedIndex:
     def _frame_bounds(self, term: str) -> tuple[int, int, int, int]:
         """(absolute offset, size, n_docs, n_positions) of a term frame,
         structurally validated."""
-        rel, size = self._directory[term]
-        off = self._base + int(rel)
-        size = int(size)
-        if rel < 0 or size < _FRAME_HEAD.size + 4 or int(rel) + size > self._payload_size:
+        try:
+            rel, size = map(int, self._directory[term])
+        except (TypeError, ValueError):
+            raise IndexCorruptionError(
+                f"term {term!r}: malformed directory entry",
+                path=self._source,
+            ) from None
+        off = self._base + rel
+        if rel < 0 or size < _FRAME_HEAD.size + 4 or rel + size > self._payload_size:
             raise IndexCorruptionError(
                 f"term {term!r}: frame bounds outside the payload",
                 path=self._source,
@@ -540,7 +599,7 @@ class PackedIndex:
                 path=self._source,
             )
         return PackedPositionPostings(
-            doc_ids, starts, counts, _LazyPositionList(positions), 0, n
+            doc_ids, starts, counts, _LazyPositionList(positions, starts), 0, n
         )
 
     # -- integrity ---------------------------------------------------------

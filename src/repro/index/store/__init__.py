@@ -15,10 +15,9 @@ from repro.index.store.faults import SimulatedCrash, StoreFaultInjector
 from repro.index.store.lock import LOCK_NAME, StoreLock
 from repro.index.store.manifest import MANIFEST_NAME, Manifest
 from repro.index.store.store import (
-    ARRAYS_FILE,
     DOCS_FILE,
     GEN_PREFIX,
-    META_FILE,
+    INDEX_FILE,
     TITLES_FILE,
     WAL_NAME,
     IndexStore,
@@ -38,8 +37,7 @@ __all__ = [
     "LOCK_NAME",
     "WAL_NAME",
     "GEN_PREFIX",
-    "META_FILE",
-    "ARRAYS_FILE",
+    "INDEX_FILE",
     "DOCS_FILE",
     "TITLES_FILE",
 ]

@@ -9,10 +9,15 @@ On-disk layout (format 2)::
       wal.jsonl           # framed document WAL (see repro.index.store.wal)
       gen-000001/         # stale generation, removed by GC
       gen-000002/         # current generation (named by MANIFEST)
-        meta.json         # index metadata (repro.index.io v1 codec)
-        postings.npz      # index arrays
+        index.pk          # the packed index blob (repro.index.packed)
         documents.jsonl   # analyzed collection (one JSON object per line)
         titles.json       # document titles (CLI display)
+
+The documents file is the source of truth and ``index.pk`` a cache of
+it: the blob is what readers serve from and what worker processes map,
+and a generation written before that file existed is opened by
+re-indexing its documents (:meth:`IndexStore.load_index`); the next
+checkpoint writes the layout above.
 
 Write protocol (:meth:`IndexStore.checkpoint`): materialize every file
 of the next generation inside ``gen-N.tmp/`` (fsync each), fsync the
@@ -34,21 +39,15 @@ mismatch, missing file, or structural inconsistency raises
 
 from __future__ import annotations
 
+import json
 import pathlib
 import threading
 
+from repro.corpus.io import collection_from_bytes, collection_to_bytes
 from repro.errors import IndexCorruptionError, IndexError_
+from repro.index.builder import build_index
 from repro.index.index import Index
-from repro.index.io import (
-    FORMAT_VERSION,
-    arrays_from_bytes,
-    arrays_to_bytes,
-    assemble_index,
-    check_invariants,
-    flatten_index,
-    meta_from_bytes,
-    meta_to_bytes,
-)
+from repro.index.packed import PackedIndex, pack_index
 from repro.index.store import fsio, wal
 from repro.index.store.faults import StoreFaultInjector
 from repro.index.store.lock import LOCK_NAME, StoreLock
@@ -101,8 +100,7 @@ def pinned_generations(path: pathlib.Path) -> set[str]:
     with _PINS_LOCK:
         return {gen for (p, gen), n in _PINS.items() if p == resolved and n > 0}
 
-META_FILE = "meta.json"
-ARRAYS_FILE = "postings.npz"
+INDEX_FILE = "index.pk"
 DOCS_FILE = "documents.jsonl"
 TITLES_FILE = "titles.json"
 
@@ -142,7 +140,10 @@ class IndexStore:
         try:
             data = manifest_path.read_bytes()
         except FileNotFoundError:
-            raise IndexError_(f"no saved index under {self.path}") from None
+            raise IndexError_(
+                f"no index store under {self.path} (no {MANIFEST_NAME}); "
+                f"build one with 'repro index DOCS_DIR {self.path}'"
+            ) from None
         self.manifest = decode_manifest(data, source=str(manifest_path))
         return self.manifest
 
@@ -194,24 +195,31 @@ class IndexStore:
         return {name: self.read_file(name)
                 for name in sorted(self._require_manifest().files)}
 
-    def load_index(self, blobs: dict[str, bytes] | None = None) -> Index:
-        """Decode the current generation's index (verified)."""
-        if blobs is None:
-            blobs = {
-                META_FILE: self.read_file(META_FILE),
-                ARRAYS_FILE: self.read_file(ARRAYS_FILE),
-            }
-        meta_source = str(self.generation_dir / META_FILE)
-        arrays_source = str(self.generation_dir / ARRAYS_FILE)
-        meta = meta_from_bytes(blobs[META_FILE], source=meta_source)
-        version = meta.get("version")
-        if version != FORMAT_VERSION:
+    def load_index(
+        self, blobs: dict[str, bytes] | None = None
+    ) -> PackedIndex | Index:
+        """The current generation's index, over verified bytes.
+
+        ``blobs`` are files already read through :meth:`read_file`.  The
+        packed blob is opened with its full checksum sweep and served as
+        it is.  A generation without ``index.pk`` (written before the
+        blob was the store's index file) is re-indexed from its
+        documents file, the source of truth.
+        """
+        if self.has_file(INDEX_FILE):
+            name = INDEX_FILE
+        elif self.has_file(DOCS_FILE):
+            name = DOCS_FILE
+        else:
             raise IndexError_(
-                f"unsupported index format version {version!r} "
-                f"(expected {FORMAT_VERSION})"
+                f"{self.generation_dir} holds neither {INDEX_FILE} nor "
+                f"{DOCS_FILE}; rebuild the store with 'repro index'"
             )
-        arrays = arrays_from_bytes(blobs[ARRAYS_FILE], source=arrays_source)
-        return assemble_index(meta, arrays, source=arrays_source)
+        data = blobs[name] if blobs is not None else self.read_file(name)
+        source = str(self.generation_dir / name)
+        if name == INDEX_FILE:
+            return PackedIndex(data, verify=True, source=source)
+        return build_index(collection_from_bytes(data, source=source))
 
     # -- WAL ---------------------------------------------------------------
 
@@ -369,8 +377,8 @@ class IndexStore:
         """Full integrity audit; raises on any damage, returns a report.
 
         Checks the manifest self-checksum, every generation file's
-        SHA-256 and size, the index structural invariants, and every
-        complete WAL frame.  A torn WAL tail is reported, not an error —
+        SHA-256 and size, the packed index's structure and frame
+        checksums, and every complete WAL frame.  A torn WAL tail is reported, not an error —
         it is the expected residue of a crash mid-append.
         """
         manifest = self.read_manifest()
@@ -381,14 +389,8 @@ class IndexStore:
                     "size mismatch against manifest",
                     path=str(self.generation_dir / name),
                 )
-        if META_FILE in blobs and ARRAYS_FILE in blobs:
-            arrays_source = str(self.generation_dir / ARRAYS_FILE)
-            meta = meta_from_bytes(
-                blobs[META_FILE], source=str(self.generation_dir / META_FILE)
-            )
-            arrays = arrays_from_bytes(blobs[ARRAYS_FILE],
-                                       source=arrays_source)
-            check_invariants(meta, arrays, source=arrays_source)
+        if INDEX_FILE in blobs:
+            self.load_index(blobs)
         records, valid, total = wal.read_wal(self.wal_path)
         live = self.wal_records()
         return {
@@ -410,15 +412,9 @@ class IndexStore:
 
 def engine_payload(index, collection) -> dict[str, bytes]:
     """Serialize an engine's state as checkpoint files."""
-    import json
-
-    from repro.corpus.io import collection_to_bytes
-
-    meta, arrays = flatten_index(index)
     titles = json.dumps([doc.title for doc in collection]).encode("utf-8")
     return {
-        META_FILE: meta_to_bytes(meta),
-        ARRAYS_FILE: arrays_to_bytes(arrays),
+        INDEX_FILE: pack_index(index),
         DOCS_FILE: collection_to_bytes(collection),
         TITLES_FILE: titles,
     }

@@ -162,13 +162,15 @@ class TestStoreCommands:
         assert "sha256 verified" in out
 
     def test_verify_corrupt_store_names_the_file(self, index_dir, capsys):
-        target = next(index_dir.glob("gen-*/postings.npz"))
+        target = next(index_dir.glob("gen-*/index.pk"))
         data = bytearray(target.read_bytes())
         data[len(data) // 2] ^= 0x01
         target.write_bytes(bytes(data))
         assert main(["verify", str(index_dir)]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "postings.npz" in err
+        assert "error:" in err and str(target) in err
+        assert main(["search", str(index_dir), "emulator"]) == 2
+        assert str(target) in capsys.readouterr().err
 
     def test_search_corrupt_store_is_a_typed_error(self, index_dir, capsys):
         (index_dir / "MANIFEST").write_bytes(b"garbage")
@@ -196,40 +198,81 @@ class TestStoreCommands:
         assert "not yet checkpointed" in capsys.readouterr().err
 
 
-class TestLegacyLayoutCli:
+class TestOlderLayoutsCli:
+    """Layouts without ``index.pk`` are read through their documents
+    file; a directory with nothing to read is a typed error, exit 2."""
+
     @pytest.fixture
-    def legacy_dir(self, docs_dir, tmp_path):
-        """A v1 (pre-store) index directory, as old CLI versions wrote."""
-        import json
+    def collection(self, docs_dir):
+        from repro.corpus.collection import DocumentCollection
 
-        from repro.corpus.analyzer import SimpleAnalyzer
-        from repro.index.builder import IndexBuilder
-        from repro.index.io import save_index
+        collection = DocumentCollection()
+        for path in sorted(docs_dir.glob("*.txt")):
+            collection.add_text(path.read_text(), title=path.stem)
+        return collection
 
-        analyzer = SimpleAnalyzer()
-        builder = IndexBuilder()
-        titles = []
-        for doc_id, path in enumerate(sorted(docs_dir.glob("*.txt"))):
-            analyzed = analyzer.analyze(path.read_text())
-            builder.add_document(doc_id, analyzed.tokens,
-                                 analyzed.sentence_starts)
-            titles.append(path.stem)
-        out = save_index(builder.build(), tmp_path / "v1idx")
-        (out / "titles.json").write_text(json.dumps(titles))
+    @pytest.fixture
+    def pre_store_dir(self, collection, tmp_path):
+        """A pre-store directory: ``documents.jsonl`` beside whatever
+        index files an old version wrote (nothing reads those)."""
+        from repro.corpus.io import save_collection
+
+        out = save_collection(collection, tmp_path / "v1idx")
+        (out / "meta.json").write_text("{}")
+        (out / "postings.npz").write_bytes(b"old")
         return out
 
-    def test_search_still_reads_legacy_layout(self, legacy_dir, capsys):
-        assert main(["search", str(legacy_dir), "windows emulator"]) == 0
-        out = capsys.readouterr().out
-        assert "wine" in out
+    def test_search_reads_a_pre_store_directory(self, pre_store_dir, capsys):
+        assert main(["search", str(pre_store_dir), "windows emulator"]) == 0
+        assert "wine" in capsys.readouterr().out
+        assert main(["explain", str(pre_store_dir), "windows emulator"]) == 0
 
-    def test_verify_reports_legacy_layout(self, legacy_dir, capsys):
-        assert main(["verify", str(legacy_dir)]) == 0
-        assert "legacy (v1) index OK" in capsys.readouterr().out
+    def test_verify_needs_a_store(self, pre_store_dir, capsys):
+        assert main(["verify", str(pre_store_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "repro index" in err and str(pre_store_dir) in err
 
-    def test_missing_titles_warns_instead_of_silent(self, legacy_dir, capsys):
-        (legacy_dir / "titles.json").unlink()
-        assert main(["search", str(legacy_dir), "windows emulator"]) == 0
+    @pytest.mark.parametrize("command", ["search", "explain"])
+    def test_directory_with_nothing_to_read_exits_2(
+        self, command, tmp_path, capsys
+    ):
+        (tmp_path / "junk").mkdir()
+        (tmp_path / "junk" / "postings.npz").write_bytes(b"old")
+        assert main([command, str(tmp_path / "junk"), "emulator"]) == 2
+        err = capsys.readouterr().err
+        assert "repro index" in err and str(tmp_path / "junk") in err
+
+    def test_generation_without_index_file_is_reindexed(
+        self, collection, tmp_path, capsys
+    ):
+        from tests.conftest import write_old_generation
+
+        write_old_generation(tmp_path / "old", collection)
+        assert main(["search", str(tmp_path / "old"), "windows emulator"]) == 0
+        assert "wine" in capsys.readouterr().out
+        assert main(["verify", str(tmp_path / "old")]) == 0
+        assert main(["checkpoint", str(tmp_path / "old")]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "old"), "--json"]) == 0
+        import json
+
+        files = json.loads(capsys.readouterr().out)["files"]
+        assert sorted(files) == ["documents.jsonl", "index.pk", "titles.json"]
+
+    def test_missing_titles_warns_instead_of_silent(
+        self, collection, tmp_path, capsys
+    ):
+        from repro.index.builder import build_index
+        from repro.index.store import TITLES_FILE, IndexStore, engine_payload
+
+        payload = engine_payload(build_index(collection), collection)
+        del payload[TITLES_FILE]
+        store = IndexStore(tmp_path / "untitled")
+        with store.lock():
+            store.checkpoint(payload, doc_count=len(collection))
+        assert main(
+            ["search", str(tmp_path / "untitled"), "windows emulator"]
+        ) == 0
         captured = capsys.readouterr()
         assert "warning:" in captured.err and "titles.json" in captured.err
         # Results still print, with the doc-id fallback title.

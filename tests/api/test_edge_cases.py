@@ -5,15 +5,17 @@ import pytest
 from repro.api import SearchEngine
 from repro.errors import QuerySyntaxError
 
+from tests.conftest import ENGINE_KINDS, engine_as
 
-@pytest.fixture
-def engine():
+
+@pytest.fixture(params=ENGINE_KINDS)
+def engine(request, tmp_path):
     e = SearchEngine()
     e.add("alpha beta alpha beta alpha", title="repeats")
     e.add("alpha", title="single")
     e.add("beta gamma delta epsilon zeta eta theta", title="long")
     e.add("", title="empty")
-    return e
+    return engine_as(request.param, e, tmp_path)
 
 
 def test_empty_document_tolerated(engine):

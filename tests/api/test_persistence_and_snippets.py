@@ -6,7 +6,13 @@ from repro.api import SearchEngine
 from repro.corpus.io import load_collection, save_collection
 from repro.errors import IndexError_
 
-from tests.conftest import make_tiny_collection
+from tests.conftest import (
+    ENGINE_KINDS,
+    SCHEME_NAMES,
+    TINY_QUERIES,
+    engine_as,
+    make_tiny_collection,
+)
 
 
 class TestCollectionIO:
@@ -52,6 +58,119 @@ class TestEngineSaveLoad:
         assert len(results) == len(engine.search("fox")) + 1
 
 
+def _answers(engine, **kwargs):
+    return {
+        (scheme, text): [
+            (r.doc_id, r.score)
+            for r in engine.search(text, scheme=scheme, **kwargs)
+        ]
+        for scheme in SCHEME_NAMES
+        for text in TINY_QUERIES
+    }
+
+
+class TestOneIndexFormat:
+    """in-memory ≡ saved-and-loaded ≡ process-sharded-over-loaded: the
+    loaded engine serves the generation's packed blob as it is, and
+    checkpoints and worker pools are handed those same bytes."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        SearchEngine(make_tiny_collection()).save(tmp_path / "engine")
+        return tmp_path / "engine"
+
+    def test_loaded_engine_serves_the_packed_blob(self, store):
+        from repro.index.packed import PackedIndex
+
+        loaded = SearchEngine.load(store)
+        assert isinstance(loaded.index, PackedIndex)
+        blob = next(store.glob("gen-*/index.pk")).read_bytes()
+        assert loaded.index.blob == blob
+        assert _answers(loaded) == _answers(
+            SearchEngine(make_tiny_collection())
+        )
+
+    def test_every_read_surface_agrees_after_reload(self, store):
+        memory = SearchEngine(make_tiny_collection())
+        loaded = SearchEngine.load(store)
+        for text in TINY_QUERIES:
+            for kwargs in ({"optimize": False},
+                           {"use_rank_join": True, "top_k": 3}):
+                assert [(r.doc_id, r.score)
+                        for r in loaded.search(text, **kwargs)] == \
+                    [(r.doc_id, r.score)
+                     for r in memory.search(text, **kwargs)]
+            assert loaded.match_table(text).rows == \
+                memory.match_table(text).rows
+            assert loaded.explain(text) == memory.explain(text)
+            for doc_id in range(len(memory.collection)):
+                assert loaded.matches(text, doc_id) == \
+                    memory.matches(text, doc_id)
+                assert loaded.snippet(text, doc_id) == \
+                    memory.snippet(text, doc_id)
+        assert "-- analyze" in loaded.explain("quick fox", analyze=True)
+
+    def test_strict_audit_over_a_loaded_engine(self, store):
+        from repro.obs.audit import AuditConfig
+
+        loaded = SearchEngine.load(store)
+        audited = SearchEngine(
+            loaded.collection, audit=AuditConfig(rate=1.0, mode="strict")
+        )
+        audited._index = loaded.index
+        assert _answers(audited) == _answers(loaded)
+
+    def test_process_shards_over_a_loaded_engine(self, store):
+        """The pool publishes the loaded bytes; nothing is repacked (a
+        packed index has no ``sentence_starts`` list to repack from)."""
+        serial = _answers(SearchEngine(make_tiny_collection()))
+        loaded = SearchEngine.load(store)
+        loaded.shards = 2
+        loaded.executor = "process"
+        try:
+            outcome = loaded.search("quick fox")
+            assert outcome.executor == "process"
+            assert _answers(loaded) == serial
+            assert loaded._procpool.publication.size == \
+                len(loaded.index.blob)
+        finally:
+            loaded.close()
+
+    def test_checkpoints_without_an_add_write_identical_bytes(self, store):
+        def index_bytes():
+            (path,) = store.glob("gen-*/index.pk")
+            return path.name, path.read_bytes()
+
+        first = index_bytes()
+        with SearchEngine.open(store) as engine:
+            engine.checkpoint()
+            second = index_bytes()
+            engine.checkpoint()
+            assert first == second == index_bytes()
+            engine.add("one more quick fox")
+            engine.checkpoint()
+            rebuilt = index_bytes()
+            assert rebuilt != first
+            engine.checkpoint()
+            assert rebuilt == index_bytes()
+
+    def test_index_file_opens_through_mmap(self, store):
+        import mmap
+
+        from repro.index.packed import PackedIndex
+
+        (path,) = store.glob("gen-*/index.pk")
+        with open(path, "rb") as handle:
+            # Not closed by hand: the mapping lives as long as the
+            # zero-copy views the index hands out.
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        engine = SearchEngine(make_tiny_collection())
+        engine._index = PackedIndex(mapped, verify=True, source=str(path))
+        assert _answers(engine) == _answers(
+            SearchEngine(make_tiny_collection())
+        )
+
+
 class TestDurableOpen:
     """Engine-level surface of the crash-safe store (details in
     tests/index/test_store.py and test_store_faults.py)."""
@@ -80,9 +199,11 @@ class TestDurableOpen:
 
 
 class TestMatchesAndSnippets:
-    @pytest.fixture
-    def engine(self):
-        return SearchEngine(make_tiny_collection())
+    @pytest.fixture(params=ENGINE_KINDS)
+    def engine(self, request, tmp_path):
+        return engine_as(
+            request.param, SearchEngine(make_tiny_collection()), tmp_path
+        )
 
     def test_matches_maps_variables_to_offsets(self, engine):
         (match,) = engine.matches('"quick fox"', doc_id=4, limit=1)

@@ -7,12 +7,14 @@ from repro.errors import GraftError
 from repro.graft.optimizer import OptimizerOptions
 from repro.sa.registry import get_scheme
 
-from tests.conftest import make_tiny_collection
+from tests.conftest import ENGINE_KINDS, engine_as, make_tiny_collection
 
 
-@pytest.fixture
-def engine():
-    return SearchEngine(make_tiny_collection())
+@pytest.fixture(params=ENGINE_KINDS)
+def engine(request, tmp_path):
+    return engine_as(
+        request.param, SearchEngine(make_tiny_collection()), tmp_path
+    )
 
 
 def test_docstring_example():

@@ -50,6 +50,43 @@ TINY_QUERIES = (
 )
 
 
+#: The two ways an engine comes to hold its index: built in memory by the
+#: index builder, or loaded from a store generation (a ``PackedIndex``
+#: over the verified ``index.pk`` bytes).  Engine fixtures parametrized
+#: over this run every assertion against both.
+ENGINE_KINDS = ("memory", "reloaded")
+
+
+def engine_as(kind: str, engine, tmp_path):
+    """``engine`` itself, or what ``save`` → ``load`` makes of it."""
+    if kind == "memory":
+        return engine
+    from repro.api import SearchEngine
+
+    engine.save(tmp_path / "reloaded")
+    return SearchEngine.load(tmp_path / "reloaded")
+
+
+#: The index files of a generation written before ``index.pk`` existed.
+#: Nothing decodes them; they only have to be there and be checksummed.
+OLD_INDEX_FILES = {"meta.json": b"{}", "postings.npz": b"old"}
+
+
+def write_old_generation(path, collection: DocumentCollection) -> None:
+    """Checkpoint ``collection`` under ``path`` in the layout from before
+    the packed blob was the store's index file: documents and titles,
+    the old index files, no ``index.pk``."""
+    from repro.index.store import INDEX_FILE, IndexStore, engine_payload
+
+    payload = engine_payload(build_index(collection), collection)
+    del payload[INDEX_FILE]
+    store = IndexStore(path)
+    with store.lock():
+        store.checkpoint(
+            {**payload, **OLD_INDEX_FILES}, doc_count=len(collection)
+        )
+
+
 @pytest.fixture(scope="session")
 def tiny_collection() -> DocumentCollection:
     return make_tiny_collection()

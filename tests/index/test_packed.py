@@ -1,8 +1,8 @@
 """Packed postings codec: round-trip fidelity, corruption rejection,
 and score equivalence with the object substrate.
 
-The packed blob is the substrate worker processes attach to, so its
-contract is absolute: decode must reproduce the object index *exactly*
+The packed blob is the store's index file, what a loaded engine serves
+from and what worker processes attach to, so its contract is absolute: decode must reproduce the object index *exactly*
 (every doc id, every position tuple, every statistic), every execution
 over a :class:`repro.index.packed.PackedIndex` must score bit-identical
 to the object index, and any damaged buffer — truncated anywhere, or a
@@ -13,7 +13,10 @@ silently-wrong postings.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -26,9 +29,11 @@ from repro.exec.engine import execute, make_runtime
 from repro.exec.parallel import execute_sharded
 from repro.graft.optimizer import Optimizer
 from repro.index.builder import build_index
-from repro.index.packed import MAGIC, PackedIndex, _pack_frame, pack_index
+from repro.index.index import Index
+from repro.index.packed import MAGIC, PackedIndex, pack_index
 from repro.index.postings import PositionPostings
 from repro.index.shard import ShardedIndex
+from repro.index.stats import CollectionStats
 from repro.mcalc.parser import parse_query
 from repro.sa.context import IndexScoringContext
 from repro.sa.registry import get_scheme
@@ -54,6 +59,7 @@ def test_round_trip_statistics(tiny_index, packed):
     assert packed.vocabulary_size() == tiny_index.vocabulary_size()
     assert packed.stats.num_docs == tiny_index.stats.num_docs
     assert list(packed.stats.doc_lengths) == list(tiny_index.stats.doc_lengths)
+    assert packed.stats.avg_doc_length == tiny_index.stats.avg_doc_length
     for doc_id in range(tiny_index.num_docs):
         assert packed.sentence_starts_of(doc_id) == \
             tiny_index.sentence_starts_of(doc_id)
@@ -129,17 +135,67 @@ def test_empty_collection_round_trips():
     assert packed.sentence_starts_of(0) == ()
 
 
-def test_unpackable_doc_ids_rejected_at_encode():
-    postings = PositionPostings(
-        np.array([0, 2**32], dtype=np.int64), [(1,), (2,)]
+#: SHA-256 of ``pack_index(build_index(tiny_collection))`` at the commit
+#: before the packer was vectorized.  The blob is an on-disk format now:
+#: the same index must keep producing the same bytes.
+TINY_BLOB_SHA256 = (
+    "74bd77b8eacd127759682b5a305a8bc5d23b0ec669e046d8e398ceaf66a554a9"
+)
+
+
+def test_blob_bytes_are_pinned(blob):
+    assert len(blob) == 2136
+    assert hashlib.sha256(blob).hexdigest() == TINY_BLOB_SHA256
+
+
+def test_packing_a_packed_index_returns_its_own_bytes(blob, packed):
+    assert pack_index(packed) == blob
+    # Also over a buffer longer than the blob (shared-memory segments
+    # round their size up).
+    assert pack_index(PackedIndex(blob + b"\x00" * 24)) == blob
+
+
+def _index_of(**terms: PositionPostings) -> Index:
+    return Index(
+        terms, CollectionStats(np.zeros(1, dtype=np.int64)),
+        sentence_starts=[()],
     )
-    with pytest.raises(IndexError_):
-        _pack_frame("huge", postings)
-    unsorted = PositionPostings(
-        np.array([5, 3], dtype=np.int64), [(1,), (2,)]
+
+
+@pytest.mark.parametrize("doc_ids, offsets, message", [
+    ([0, 2**32], [(1,), (2,)], "'bad'.*doc ids outside"),
+    ([-1, 3], [(1,), (2,)], "'bad'.*doc ids outside"),
+    ([5, 3], [(1,), (2,)], "'bad'.*strictly increasing"),
+    ([4, 4], [(1,), (2,)], "'bad'.*strictly increasing"),
+    ([1, 2], [(1,), (2**32,)], "'bad'.*positions outside"),
+    ([1, 2], [(-7,), (2,)], "'bad'.*positions outside"),
+    ([1, 2], [(1,), (2**70,)], "positions outside"),
+])
+def test_unpackable_values_rejected_at_encode(doc_ids, offsets, message):
+    """Range and ordering checks survive the whole-index vectorized
+    encode, and still name the offending term — here the middle of
+    three, so a first-gap fix-up that leaked across terms would show."""
+    fine = PositionPostings(np.array([0, 7], dtype=np.int64), [(0,), (3, 4)])
+    bad = PositionPostings(np.array(doc_ids, dtype=np.int64), offsets)
+    with pytest.raises(IndexError_, match=message):
+        pack_index(_index_of(aaa=fine, bad=bad, zzz=fine))
+
+
+def test_term_boundaries_survive_the_whole_index_encode():
+    """A term whose first doc id is below the previous term's last one,
+    an empty term, and an entry with no positions all round-trip."""
+    index = _index_of(
+        a=PositionPostings(np.array([3, 9], dtype=np.int64), [(1,), (2, 5)]),
+        b=PositionPostings.empty(),
+        c=PositionPostings(np.array([0], dtype=np.int64), [()]),
+        d=PositionPostings(np.array([0, 2**32 - 1], dtype=np.int64),
+                           [(2**32 - 1,), (0,)]),
     )
-    with pytest.raises(IndexError_):
-        _pack_frame("unsorted", unsorted)
+    packed = PackedIndex(pack_index(index), verify=True)
+    for term, original in index.terms.items():
+        decoded = packed.postings(term)
+        assert list(decoded.doc_ids) == list(original.doc_ids)
+        assert list(decoded.offsets) == original.offsets
 
 
 # -- corruption rejection -------------------------------------------------
@@ -200,6 +256,64 @@ def test_flipped_byte_rejected_everywhere_checksummed(blob):
         mutated[off] ^= 0xFF
         with pytest.raises(IndexCorruptionError):
             PackedIndex(bytes(mutated), verify=True)
+
+
+def _reheadered(blob: bytes, edit) -> bytes:
+    """``blob`` with its JSON header passed through ``edit`` and the
+    header CRC recomputed — byte-intact by every checksum, yet
+    describing an impossible index (what a buggy writer produces)."""
+    hlen = _header_len(blob)
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    raw = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    head = blob[:8] + struct.pack("<II", 1, len(raw)) + raw
+    head += struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF)
+    head += b"\x00" * (-len(head) % 8)
+    old_base = (16 + hlen + 4 + 7) & ~7
+    return head + blob[old_base:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("terms"),
+    lambda h: h.update(terms=[]),
+    lambda h: h.update(num_docs=h["num_docs"] + 1),
+    lambda h: h["sections"].pop("doc_lengths"),
+    lambda h: h["sections"].update(doc_lengths=[0, 10**9]),
+    lambda h: h["sections"].update(sentence_counts=[0, 3]),
+    lambda h: h["terms"].update(quick="nonsense"),
+    lambda h: h["terms"].update(quick=[0, "x"]),
+    lambda h: h["terms"].update(quick=[-8, 64]),
+    lambda h: h["terms"].update(quick=[0, 10**9]),
+    lambda h: h["terms"].update(quick=h["terms"]["fox"][:1] + [28]),
+    lambda h: h.update(payload_size=h["payload_size"] + 8),
+])
+def test_checksum_valid_but_inconsistent_header_is_corruption(blob, edit):
+    """Structural checks a checksum cannot make: every inconsistency is
+    an ``IndexCorruptionError`` — never a raw ``KeyError``/``TypeError``/
+    ``ValueError``/``struct.error`` — at open or at the first use."""
+    with pytest.raises(IndexCorruptionError):
+        packed = PackedIndex(_reheadered(blob, edit), verify=True)
+        packed.postings("quick").offsets[0]
+
+
+def test_frame_whose_counts_disagree_with_its_total_is_corruption(blob):
+    """A frame that passes its own CRC but whose per-document counts do
+    not add up to its position total is rejected when it is decoded."""
+    clean = PackedIndex(blob)
+    rel, size = clean._directory["quick"]
+    off = clean._base + rel
+    _magic, n_docs, _n_pos = struct.unpack_from("<IIQ", blob, off)
+    mutated = bytearray(blob)
+    first_count = off + 16 + 4 * n_docs
+    struct.pack_into(
+        "<I", mutated, first_count,
+        struct.unpack_from("<I", blob, first_count)[0] + 1,
+    )
+    body = bytes(mutated[off:off + size - 4])
+    struct.pack_into("<I", mutated, off + size - 4, zlib.crc32(body))
+    packed = PackedIndex(bytes(mutated), verify=True)  # every CRC holds
+    with pytest.raises(IndexCorruptionError, match="'quick'.*do not sum"):
+        packed.postings("quick")
 
 
 # -- execution equivalence ------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.corpus.collection import DocumentCollection
 from repro.index.builder import build_index
-from repro.index.io import load_index, save_index
+from repro.index.packed import PackedIndex, pack_index
 from repro.index.postings import PositionPostings
 
 documents = st.lists(
@@ -68,14 +68,12 @@ def test_doc_id_list_matches_array(docs):
 
 @settings(max_examples=25, deadline=None)
 @given(docs=documents)
-def test_io_round_trip_any_corpus(docs, tmp_path_factory):
+def test_packed_round_trip_any_corpus(docs):
     index = build_index(collection_of(docs))
-    path = tmp_path_factory.mktemp("idx")
-    save_index(index, path)
-    loaded = load_index(path)
+    loaded = PackedIndex(pack_index(index), verify=True)
     assert set(loaded.terms) == set(index.terms)
     for term, postings in index.terms.items():
-        assert loaded.terms[term].offsets == postings.offsets
+        assert list(loaded.terms[term].offsets) == postings.offsets
         assert list(loaded.terms[term].doc_ids) == list(postings.doc_ids)
     assert list(loaded.stats.doc_lengths) == list(index.stats.doc_lengths)
 

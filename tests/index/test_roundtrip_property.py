@@ -3,8 +3,9 @@
 For arbitrary corpora — unicode and empty-string terms, empty and
 single-document collections — a reloaded engine must return *identical*
 search results (doc ids and exact float scores) under every registered
-scoring scheme, through both the crash-safe store and the legacy v1
-codec.  Plus deterministic edges: offsets far beyond int32.
+scoring scheme, through the crash-safe store; the packed blob that
+store persists must reproduce every posting.  Plus deterministic edges:
+offsets beyond int32, and beyond what the fixed-width layout holds.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ import shutil
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SearchEngine
 from repro.corpus.collection import DocumentCollection
+from repro.errors import IndexError_
 from repro.index.builder import build_index
 from repro.index.index import Index
-from repro.index.io import load_index, save_index
+from repro.index.packed import PackedIndex, pack_index
 from repro.index.postings import PositionPostings
 from repro.index.stats import CollectionStats
 from repro.mcalc.builder import all_of, term
@@ -72,22 +75,17 @@ def test_store_round_trip_is_result_identical(corpus):
 
 @settings(max_examples=20, deadline=None)
 @given(corpus=corpora)
-def test_legacy_v1_round_trip_preserves_postings(corpus):
-    tmp = tempfile.mkdtemp(prefix="graft-v1-roundtrip-")
-    try:
-        collection = DocumentCollection()
-        for doc_tokens in corpus:
-            collection.add_tokens(doc_tokens)
-        index = build_index(collection)
-        save_index(index, tmp + "/idx")
-        loaded = load_index(tmp + "/idx")
-        assert set(loaded.terms) == set(index.terms)
-        for t, postings in index.terms.items():
-            assert list(loaded.terms[t].doc_ids) == list(postings.doc_ids)
-            assert loaded.terms[t].offsets == postings.offsets
-        assert list(loaded.stats.doc_lengths) == list(index.stats.doc_lengths)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+def test_packed_round_trip_preserves_postings(corpus):
+    collection = DocumentCollection()
+    for doc_tokens in corpus:
+        collection.add_tokens(doc_tokens)
+    index = build_index(collection)
+    loaded = PackedIndex(pack_index(index), verify=True)
+    assert set(loaded.terms) == set(index.terms)
+    for t, postings in index.terms.items():
+        assert list(loaded.terms[t].doc_ids) == list(postings.doc_ids)
+        assert list(loaded.terms[t].offsets) == postings.offsets
+    assert list(loaded.stats.doc_lengths) == list(index.stats.doc_lengths)
 
 
 def test_empty_engine_round_trips_through_store(tmp_path):
@@ -107,15 +105,33 @@ def test_single_document_round_trip(tmp_path):
     assert (result.doc_id, result.title) == (0, "only")
 
 
-def test_offsets_beyond_int32_round_trip(tmp_path):
-    big = 2 ** 40
-    index = Index(
+def _one_posting_index(first: int, doc_length: int) -> Index:
+    return Index(
         {"far": PositionPostings(np.asarray([0], dtype=np.int64),
-                                 [(big, big + 7)])},
-        CollectionStats(np.asarray([big + 8], dtype=np.int64)),
+                                 [(first, first + 7)])},
+        CollectionStats(np.asarray([doc_length], dtype=np.int64)),
         sentence_starts=[()],
     )
-    save_index(index, tmp_path / "idx")
-    loaded = load_index(tmp_path / "idx")
-    assert loaded.terms["far"].offsets == [(big, big + 7)]
-    assert list(loaded.stats.doc_lengths) == [big + 8]
+
+
+def test_offsets_beyond_int32_round_trip():
+    big = 2 ** 31 + 5
+    loaded = PackedIndex(
+        pack_index(_one_posting_index(big, 2 ** 40)), verify=True
+    )
+    assert list(loaded.terms["far"].offsets) == [(big, big + 7)]
+    assert list(loaded.stats.doc_lengths) == [2 ** 40]
+
+
+def test_offsets_beyond_uint32_are_refused_not_wrapped(tmp_path):
+    """The fixed-width layout holds positions below 2^32; a larger one
+    is a typed encode error naming the term, at ``pack_index`` and at
+    ``save`` alike — never a silently wrapped offset on disk."""
+    index = _one_posting_index(2 ** 40, 2 ** 40 + 8)
+    with pytest.raises(IndexError_, match="'far'.*positions"):
+        pack_index(index)
+    engine = SearchEngine()
+    engine._index = index
+    with pytest.raises(IndexError_, match="positions"):
+        engine.save(tmp_path / "s")
+    assert not (tmp_path / "s" / "MANIFEST").exists()

@@ -1,4 +1,4 @@
-"""Durable store behavior: checkpoints, WAL, locking, GC, migration."""
+"""Durable store behavior: checkpoints, WAL, locking, GC, older layouts."""
 
 from __future__ import annotations
 
@@ -15,10 +15,10 @@ from repro.errors import (
     IndexError_,
     StoreLockedError,
 )
-from repro.index.builder import build_index
-from repro.index.io import save_index
+from repro.index.packed import PackedIndex
 from repro.index.store import (
     DOCS_FILE,
+    INDEX_FILE,
     LOCK_NAME,
     MANIFEST_NAME,
     TITLES_FILE,
@@ -27,7 +27,11 @@ from repro.index.store import (
 )
 from repro.index.store import wal as wal_mod
 
-from tests.conftest import make_tiny_collection
+from tests.conftest import (
+    OLD_INDEX_FILES,
+    make_tiny_collection,
+    write_old_generation,
+)
 
 TEXTS = [
     "the quick brown fox jumps over the lazy dog",
@@ -55,7 +59,7 @@ class TestCheckpoint:
         assert store.manifest.generation == "gen-000001"
         assert store.manifest.doc_count == 2
         assert set(store.manifest.files) == {
-            "meta.json", "postings.npz", DOCS_FILE, TITLES_FILE,
+            INDEX_FILE, DOCS_FILE, TITLES_FILE,
         }
 
     def test_second_save_advances_generation_and_gcs(self, tmp_path):
@@ -250,27 +254,76 @@ class TestVerify:
             SearchEngine.load(tmp_path / "s")
 
 
-class TestLegacyMigration:
-    def make_legacy(self, path):
-        collection = make_tiny_collection()
-        save_index(build_index(collection), path)
-        save_collection(collection, path)
-        return collection
+class TestDocumentsAreTheSourceOfTruth:
+    """``index.pk`` is a cache of ``documents.jsonl``.  A layout without
+    it — a generation written when the index was ``meta.json`` +
+    ``postings.npz``, or a pre-store directory — opens by re-indexing
+    its documents, with no decoder for the old files, and the next
+    checkpoint writes the current layout."""
 
-    def test_legacy_v1_directory_still_loads(self, tmp_path):
-        self.make_legacy(tmp_path / "v1")
+    def make_old_generation(self, path):
+        write_old_generation(path, make_tiny_collection())
+
+    def make_pre_store(self, path):
+        save_collection(make_tiny_collection(), path)
+
+    def test_old_generation_loads_by_reindexing(self, tmp_path):
+        self.make_old_generation(tmp_path / "s")
+        engine = SearchEngine.load(tmp_path / "s")
+        assert not isinstance(engine.index, PackedIndex)
+        assert ranked(engine) == ranked(SearchEngine(make_tiny_collection()))
+        # The store-level reader (what the CLI uses) follows the same rule.
+        index = IndexStore.open(tmp_path / "s").load_index()
+        assert sorted(index.terms) == sorted(engine.index.terms)
+        assert set(IndexStore.open(tmp_path / "s").verify()["files"]) == {
+            DOCS_FILE, TITLES_FILE, *OLD_INDEX_FILES,
+        }
+
+    def test_old_generation_upgrades_on_next_checkpoint(self, tmp_path):
+        self.make_old_generation(tmp_path / "s")
+        with SearchEngine.open(tmp_path / "s") as engine:
+            before = ranked(engine)
+            engine.checkpoint()
+        store = IndexStore.open(tmp_path / "s")
+        assert set(store.manifest.files) == {
+            INDEX_FILE, DOCS_FILE, TITLES_FILE,
+        }
+        upgraded = SearchEngine.load(tmp_path / "s")
+        assert isinstance(upgraded.index, PackedIndex)
+        assert ranked(upgraded) == before
+
+    def test_pre_store_directory_still_loads(self, tmp_path):
+        self.make_pre_store(tmp_path / "v1")
         assert not IndexStore.is_store(tmp_path / "v1")
         engine = SearchEngine.load(tmp_path / "v1")
         assert ranked(engine) == ranked(SearchEngine(make_tiny_collection()))
 
-    def test_open_migrates_legacy_to_store(self, tmp_path):
-        self.make_legacy(tmp_path / "v1")
+    def test_open_migrates_pre_store_directory(self, tmp_path):
+        self.make_pre_store(tmp_path / "v1")
         with SearchEngine.open(tmp_path / "v1") as engine:
             n = len(engine.collection)
         assert IndexStore.is_store(tmp_path / "v1")
+        assert IndexStore.open(tmp_path / "v1").has_file(INDEX_FILE)
         migrated = SearchEngine.load(tmp_path / "v1")
         assert len(migrated.collection) == n
         assert ranked(migrated) == ranked(SearchEngine(make_tiny_collection()))
+
+    def test_directory_with_neither_is_a_typed_error(self, tmp_path):
+        (tmp_path / "junk").mkdir()
+        (tmp_path / "junk" / "meta.json").write_text("{}")
+        for directory in (tmp_path / "junk", tmp_path / "absent"):
+            with pytest.raises(IndexError_, match="repro index") as info:
+                SearchEngine.load(directory)
+            assert str(directory) in str(info.value)
+        with pytest.raises(IndexError_, match="repro index"):
+            IndexStore.open(tmp_path / "junk")
+
+    def test_generation_with_neither_is_a_typed_error(self, tmp_path):
+        store = IndexStore(tmp_path / "s")
+        with store.lock():
+            store.checkpoint(dict(OLD_INDEX_FILES), doc_count=0)
+        with pytest.raises(IndexError_, match="repro index"):
+            IndexStore.open(tmp_path / "s").load_index()
 
     def test_open_fresh_directory_initializes_empty_store(self, tmp_path):
         with SearchEngine.open(tmp_path / "new") as engine:

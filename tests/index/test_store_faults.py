@@ -29,8 +29,10 @@ from repro.api import SearchEngine
 from repro.errors import IndexCorruptionError
 from repro.index.store import (
     DOCS_FILE,
+    INDEX_FILE,
     LOCK_NAME,
     MANIFEST_NAME,
+    TITLES_FILE,
     WAL_NAME,
     IndexStore,
     SimulatedCrash,
@@ -187,22 +189,23 @@ class TestFlippedBytes:
         build_base(root)
         return root
 
-    def store_files(self, root) -> list[pathlib.Path]:
+    #: Every file a store holds; the flip matrix covers each by name.
+    FILES = (MANIFEST_NAME, WAL_NAME, INDEX_FILE, DOCS_FILE, TITLES_FILE)
+
+    def store_file(self, root, name) -> pathlib.Path:
         store = IndexStore.open(root)
-        files = [root / MANIFEST_NAME, store.wal_path]
-        files += [store.generation_dir / name
-                  for name in sorted(store.manifest.files)]
-        return files
+        if name in store.manifest.files:
+            return store.generation_dir / name
+        return root / name
 
-    def test_fixture_covers_all_payload_kinds(self, store_root):
-        names = {p.name for p in self.store_files(store_root)}
-        assert {MANIFEST_NAME, WAL_NAME, "meta.json", "postings.npz",
-                DOCS_FILE, "titles.json"} <= names
+    def test_matrix_covers_every_generation_file(self, store_root):
+        listed = set(IndexStore.open(store_root).manifest.files)
+        assert listed == set(self.FILES) - {MANIFEST_NAME, WAL_NAME}
 
-    @pytest.mark.parametrize("which", range(6))
+    @pytest.mark.parametrize("name", FILES)
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_flip_is_caught_and_names_the_file(self, store_root, which, where):
-        target = self.store_files(store_root)[which]
+    def test_flip_is_caught_and_names_the_file(self, store_root, name, where):
+        target = self.store_file(store_root, name)
         data = bytearray(target.read_bytes())
         assert data, f"{target} unexpectedly empty"
         offset = {"first": 0, "middle": len(data) // 2,
@@ -211,7 +214,34 @@ class TestFlippedBytes:
         target.write_bytes(bytes(data))
         with pytest.raises(IndexCorruptionError) as info:
             SearchEngine.load(store_root)
-        assert target.name in str(info.value)
+        assert str(target) in str(info.value)
+
+    def test_intact_checksum_over_a_damaged_blob_is_still_caught(
+        self, store_root
+    ):
+        """The SHA-256 proves the file is what the writer wrote; the
+        packed blob's own structure and frame checksums are checked on
+        top, at load and by ``verify`` — both name ``index.pk``."""
+        from repro.index.store import engine_payload
+
+        engine = SearchEngine.load(store_root)
+        payload = engine_payload(engine.index, engine.collection)
+        blob = bytearray(payload[INDEX_FILE])
+        blob[-1] ^= 0x01  # the last frame's CRC: only the full sweep sees it
+        for damaged in (bytes(blob), bytes(blob[:40]), b"", b"not a blob"):
+            store = IndexStore.open(store_root)
+            with store.lock():
+                store.checkpoint(
+                    {**payload, INDEX_FILE: damaged},
+                    doc_count=len(engine.collection),
+                )
+            path = str(store.generation_dir / INDEX_FILE)
+            for read in (lambda: SearchEngine.load(store_root),
+                         lambda: IndexStore.open(store_root).verify(),
+                         lambda: IndexStore.open(store_root).load_index()):
+                with pytest.raises(IndexCorruptionError) as info:
+                    read()
+                assert path in str(info.value)
 
     def test_flip_in_wal_payload_never_silently_truncates(self, store_root):
         # The dangerous spot: the *length field* of the *last* record.

@@ -58,13 +58,16 @@ class TestIndexStorage:
         assert index.sentence_starts_of(0) == (0, 4)
         assert index.sentence_starts_of(99) == ()
 
-    def test_io_round_trips_sentence_starts(self, sentence_collection, tmp_path):
-        from repro.index.io import load_index, save_index
+    def test_packed_blob_round_trips_sentence_starts(self, sentence_collection):
+        from repro.index.packed import PackedIndex, pack_index
 
         index = build_index(sentence_collection)
-        save_index(index, tmp_path / "idx")
-        loaded = load_index(tmp_path / "idx")
-        assert loaded.sentence_starts == index.sentence_starts
+        loaded = PackedIndex(pack_index(index), verify=True)
+        assert [
+            loaded.sentence_starts_of(doc.doc_id)
+            for doc in sentence_collection
+        ] == index.sentence_starts
+        assert loaded.sentence_starts_of(99) == ()
 
 
 class TestPredicate:

@@ -149,7 +149,8 @@ def test_explain_json_trace_rules_names_fired_rules(index_dir, capsys):
 def test_verify_json(index_dir, capsys):
     payload, _ = _run_json(capsys, ["verify", index_dir, "--json"])
     assert payload["ok"] is True
-    assert payload["format"] in ("store", "legacy-v1")
+    assert payload["format"] == "store"
+    assert "index.pk" in payload["files"]
 
 
 def test_metrics_json_and_prometheus(index_dir, capsys):
