@@ -26,7 +26,7 @@ from repro.baselines.rigid import (
 from repro.index.index import Index
 from repro.mcalc.ast import Query
 from repro.sa.context import IndexScoringContext, ScoringContext
-from repro.sa.weighting import bm25
+from repro.sa.weighting import Weigher, bm25_weigher
 
 
 class LuceneLikeEngine:
@@ -40,9 +40,13 @@ class LuceneLikeEngine:
         """Ranked (doc, score) results; raises UnsupportedQueryError for
         constructs outside Lucene's subset."""
         rigid = decompose_rigid(query)
+        # Term weights are bound once per query, as in the GRAFT executor.
+        weigh = {
+            term: bm25_weigher(self.ctx, term) for term in rigid.all_keywords()
+        }
         results = []
         for doc in RigidCandidates(self.index, rigid):
-            score = self._score(rigid, doc)
+            score = self._score(rigid, doc, weigh)
             if score is not None:
                 results.append((doc, score))
         results.sort(key=lambda r: (-r[1], r[0]))
@@ -53,23 +57,24 @@ class LuceneLikeEngine:
 
     # -- scoring ---------------------------------------------------------------
 
-    def _score(self, rigid: RigidQuery, doc: int) -> float | None:
+    def _score(
+        self, rigid: RigidQuery, doc: int, weigh: dict[str, Weigher]
+    ) -> float | None:
         """SumBest + sloppy proximity; None when positional verification
         rejects the document."""
-        ctx = self.ctx
         score = 0.0
         for term in rigid.terms:
-            score += bm25(ctx, doc, term)
+            score += weigh[term](doc)
         for group in rigid.or_groups:
             for term in group:
                 if self.index.term_frequency(doc, term):
-                    score += bm25(ctx, doc, term)
+                    score += weigh[term](doc)
         for phrase in rigid.phrases:
             positions = [self.index.postings(t).positions_in(doc) for t in phrase]
             if not phrase_occurs(positions):
                 return None
             for term in phrase:
-                score += bm25(ctx, doc, term)
+                score += weigh[term](doc)
         for words, max_distance in rigid.proximities:
             positions = [self.index.postings(t).positions_in(doc) for t in words]
             slop = best_proximity_slop(positions, max_distance)
@@ -77,5 +82,5 @@ class LuceneLikeEngine:
                 return None
             weight = 1.0 / (1.0 + slop)
             for term in words:
-                score += bm25(ctx, doc, term) * weight
+                score += weigh[term](doc) * weight
         return score

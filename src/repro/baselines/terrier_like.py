@@ -20,7 +20,7 @@ from repro.baselines.rigid import (
 from repro.index.index import Index
 from repro.mcalc.ast import Query
 from repro.sa.context import IndexScoringContext, ScoringContext
-from repro.sa.weighting import bm25
+from repro.sa.weighting import bm25_weigher
 
 
 class TerrierLikeEngine:
@@ -32,13 +32,15 @@ class TerrierLikeEngine:
 
     def search(self, query: Query, top_k: int | None = None) -> list[tuple[int, float]]:
         rigid = decompose_rigid(query)
+        # Term weights are bound once per query, as in the GRAFT executor.
+        weighers = [bm25_weigher(self.ctx, kw) for kw in rigid.all_keywords()]
         results = []
         for doc in RigidCandidates(self.index, rigid):
             if not self._verify(rigid, doc):
                 continue
             # AnySum: the score of any one match — the sum over all query
             # keyword columns of the (doc, keyword) weight, present or not.
-            score = sum(bm25(self.ctx, doc, kw) for kw in rigid.all_keywords())
+            score = sum(weigh(doc) for weigh in weighers)
             results.append((doc, score))
         results.sort(key=lambda r: (-r[1], r[0]))
         if top_k is not None:

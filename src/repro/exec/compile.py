@@ -49,13 +49,25 @@ from repro.ma.nodes import (
 def compile_plan(node: PlanNode, runtime: Runtime) -> PhysicalOp:
     """Recursively build the physical operator for a logical plan node.
 
-    One physical-level fusion applies: the eager-aggregation leaf pattern
+    Two physical-level fusions apply, neither of which changes the
+    logical plan.  The eager-aggregation leaf pattern
     ``GroupScore(ScoreInit(PreCountAtom))`` compiles to a single fused
-    scan (see :class:`repro.exec.scan_ops.ScoredPreCountScanOp`).
+    scan (see :class:`repro.exec.scan_ops.ScoredPreCountScanOp`); it takes
+    precedence.  Every maximal run of the remaining unary per-document
+    nodes — ``ScoreInit``, ``CombinePhi``, ``GroupScore``,
+    ``AlternateElim``, ``Finalize``, and ``Select`` / ``PositionProject``
+    where they sit inside such a run — compiles to one chain: building a
+    :class:`repro.exec.misc_ops.ChainOp` stage directly over another
+    makes the upper one drive both kernels in a single per-document
+    loop.  The recursion below is all it takes: a run is fused because
+    its operators are constructed bottom-up, each over the one below.
 
     When the runtime carries a :class:`repro.exec.faults.FaultInjector`,
     every compiled operator is passed through it, planting any matching
     deterministic faults; without one, operators compile unwrapped.
+    Under a fault injector or a tracer every chain has length one, so
+    each logical node still has its own physical operator to fail or to
+    time.
 
     When the runtime carries a :class:`repro.obs.trace.Tracer`, every
     operator is additionally wrapped in a recording

@@ -12,11 +12,12 @@ degraded.
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import GraftError, ResourceExhaustedError
 from repro.exec.compile import compile_op
-from repro.exec.iterator import Runtime, pull_doc
+from repro.exec.iterator import PhysicalOp, Runtime, pull_doc
 from repro.exec.limits import QueryGuard, QueryLimits
 from repro.graft.canonical import QueryInfo
 from repro.graft.plan import validate_plan
@@ -72,15 +73,21 @@ def validate_top_k(top_k: int | None) -> None:
         raise GraftError(f"top_k must be a positive integer, got {top_k!r}")
 
 
-def execute_streaming(plan: PlanNode, runtime: Runtime) -> Iterator[tuple[int, float]]:
-    """Execute a complete GRAFT plan, yielding (doc_id, score) pairs in
-    ascending document order."""
+def _start(plan: PlanNode, runtime: Runtime) -> tuple[PhysicalOp, int]:
+    """Validate, arm the guard and compile: the plan's root operator and
+    the index of its ``score`` column."""
     validate_plan(plan)
     runtime.guard.start()
     # Compilation pulls the leaves' first doc groups (DocCursor priming),
     # so it sits inside the same error boundary as the pull loop.
     root = compile_op(plan, runtime)
-    score_index = root.schema.score_index("score")
+    return root, root.schema.score_index("score")
+
+
+def execute_streaming(plan: PlanNode, runtime: Runtime) -> Iterator[tuple[int, float]]:
+    """Execute a complete GRAFT plan, yielding (doc_id, score) pairs in
+    ascending document order."""
+    root, score_index = _start(plan, runtime)
     guard = runtime.guard
     governed = guard.active
     while True:
@@ -94,6 +101,12 @@ def execute_streaming(plan: PlanNode, runtime: Runtime) -> Iterator[tuple[int, f
             yield doc, row[score_index]
 
 
+def rank_key(pair: tuple[int, float]) -> tuple[float, int]:
+    """The engine's total order over ``(doc_id, score)`` pairs: descending
+    score, ties by ascending document id."""
+    return (-pair[1], pair[0])
+
+
 def execute(
     plan: PlanNode,
     runtime: Runtime,
@@ -102,8 +115,10 @@ def execute(
     """Execute a plan and return ranked results.
 
     Results are sorted by descending score, ties broken by ascending doc
-    id; ``top_k`` (which must be >= 1) truncates after ranking
-    (rank-join based early termination lives in :mod:`repro.exec.topk`).
+    id; ``top_k`` (which must be >= 1) keeps the first ``k`` of that
+    order — selected with a bounded heap, which is ``sorted(...)[:k]`` by
+    definition, ties included (rank-join based early termination lives
+    in :mod:`repro.exec.topk`).
 
     Under a resource guard with ``on_limit="partial"``, a tripped limit
     ends the scan early and the documents scored so far are ranked and
@@ -113,19 +128,29 @@ def execute(
     """
     validate_top_k(top_k)
     results: list[tuple[int, float]] = []
+    guard = runtime.guard
     tracer = runtime.tracer
     if tracer is not None:
         tracer.begin()
     try:
-        for pair in execute_streaming(plan, runtime):
-            results.append(pair)
+        root, score_index = _start(plan, runtime)
+        governed = guard.active
+        while True:
+            group = pull_doc(root)
+            if group is None:
+                break
+            if governed:
+                guard.tick()
+            doc, rows = group
+            for row in rows:
+                results.append((doc, row[score_index]))
     except ResourceExhaustedError:
-        if runtime.guard.on_limit != "partial":
+        if guard.on_limit != "partial":
             raise
     finally:
         if tracer is not None:
             tracer.finish()
-    results.sort(key=lambda r: (-r[1], r[0]))
     if top_k is not None:
-        return results[:top_k]
+        return heapq.nsmallest(top_k, results, key=rank_key)
+    results.sort(key=rank_key)
     return results

@@ -207,31 +207,33 @@ class DocCursor:
     Pulls call the operator directly — the error boundary lives at the
     root of the tree (:func:`pull_doc` / :func:`seek_op`), which
     attributes failures to the innermost operator from the traceback, so
-    the hot path pays nothing for it.
+    the hot path pays nothing for it.  ``group`` is the current doc
+    group (``None`` at end of stream); per-document loops may read it
+    directly instead of going through :meth:`doc` and :meth:`rows`.
     """
 
-    __slots__ = ("op", "_group")
+    __slots__ = ("op", "group")
 
     def __init__(self, op: PhysicalOp):
         self.op = op
-        self._group: DocGroup | None = op.next_doc()
+        self.group: DocGroup | None = op.next_doc()
 
     def doc(self) -> int | None:
         """Current group's doc id, or None at end of stream."""
-        return self._group[0] if self._group is not None else None
+        return self.group[0] if self.group is not None else None
 
     def rows(self) -> Iterator[tuple]:
-        if self._group is None:
+        if self.group is None:
             raise ExecutionError("cursor exhausted")
-        return self._group[1]
+        return self.group[1]
 
     def advance(self) -> None:
-        self._group = self.op.next_doc()
+        self.group = self.op.next_doc()
 
     def seek(self, doc_id: int) -> None:
         """Move to the first group with doc >= ``doc_id`` (no-op when
         already there)."""
-        if self._group is not None and self._group[0] >= doc_id:
+        if self.group is not None and self.group[0] >= doc_id:
             return
         self.op.seek_doc(doc_id)
-        self._group = self.op.next_doc()
+        self.group = self.op.next_doc()

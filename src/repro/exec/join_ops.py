@@ -20,7 +20,7 @@ row's score columns aggregate exactly ``count`` match-table sub-rows.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import ExecutionError
 from repro.exec.iterator import (
@@ -65,12 +65,24 @@ def compile_predicates(
     return tuple(_CompiledPred(p, schema) for p in predicates)
 
 
-def doc_structure(runtime: Runtime, preds, doc: int) -> tuple[int, ...]:
-    """The document's sentence offsets, fetched only when some predicate
-    is structural."""
-    if any(p.structural for p in preds):
-        return runtime.index.sentence_starts_of(doc)
-    return ()
+def conjunction(
+    preds: tuple[_CompiledPred, ...],
+) -> Callable[[tuple, tuple[int, ...]], bool] | None:
+    """``(row, sentence_starts) -> bool`` for a conjunction of compiled
+    predicates: ``None`` for the empty one, the predicate's own ``holds``
+    for a single one."""
+    if not preds:
+        return None
+    if len(preds) == 1:
+        return preds[0].holds
+    return lambda row, starts: all(p.holds(row, starts) for p in preds)
+
+
+def any_structural(preds: tuple[_CompiledPred, ...]) -> bool:
+    """Whether some predicate reads the document's sentence offsets —
+    decided once per operator; documents of a plan without structural
+    predicates never fetch them."""
+    return any(p.structural for p in preds)
 
 
 class MergeJoinOp(PhysicalOp):
@@ -100,34 +112,74 @@ class MergeJoinOp(PhysicalOp):
         self._l_has_scores = bool(left.schema.scores)
         self._r_has_scores = bool(right.schema.scores)
         self._preds = compile_predicates(predicates, self.schema)
+        self._structural = any_structural(self._preds)
+        self._holds = conjunction(self._preds)
+        # A join with neither predicates nor score columns only
+        # concatenates cells and multiplies counts.
+        self._plain = not self._preds and not self.schema.scores
 
     def next_doc(self) -> DocGroup | None:
+        left, right = self.left, self.right
         guard = self.runtime.guard
-        if guard.active:
-            guard.tick()
-        doc = self._align()
-        if doc is None:
-            return None
-        lrows = list(self.left.rows())
-        rrows = list(self.right.rows())
-        self.left.advance()
-        self.right.advance()
-        starts = doc_structure(self.runtime, self._preds, doc)
-        return doc, self._cross(doc, lrows, rrows, starts)
-
-    def _align(self) -> int | None:
-        """Zig-zag both inputs until their current docs coincide."""
+        governed = guard.active
         while True:
-            dl = self.left.doc()
-            dr = self.right.doc()
-            if dl is None or dr is None:
-                return None
-            if dl < dr:
-                self.left.seek(dr)
-            elif dr < dl:
-                self.right.seek(dl)
-            else:
-                return dl
+            if governed:
+                guard.tick()
+            # Zig-zag both inputs until their current docs coincide.
+            while True:
+                lgroup = left.group
+                rgroup = right.group
+                if lgroup is None or rgroup is None:
+                    return None
+                doc = lgroup[0]
+                other = rgroup[0]
+                if doc < other:
+                    left.seek(other)
+                elif other < doc:
+                    right.seek(doc)
+                else:
+                    break
+            lrows = list(lgroup[1])
+            rrows = list(rgroup[1])
+            left.advance()
+            right.advance()
+            starts = (
+                self.runtime.index.sentence_starts_of(doc)
+                if self._structural
+                else ()
+            )
+            rows = self._matches(doc, lrows, rrows, starts)
+            if rows is not None:
+                return doc, rows
+
+    def _matches(
+        self,
+        doc: int,
+        lrows: list[tuple],
+        rrows: list[tuple],
+        starts: tuple[int, ...],
+    ) -> Iterator[tuple] | None:
+        """The joint document's output rows (``None``: skip the document)."""
+        if self._plain:
+            return self._cross_plain(doc, lrows, rrows)
+        return self._cross(doc, lrows, rrows, starts)
+
+    def _cross_plain(
+        self, doc: int, lrows: list[tuple], rrows: list[tuple]
+    ) -> Iterator[tuple]:
+        """:meth:`_cross` without predicates or score columns."""
+        metrics = self.runtime.metrics
+        guard = self.runtime.guard
+        governed = guard.active
+        for lrow in lrows:
+            lcells = lrow[:-1]
+            lcount = lrow[-1]
+            for rrow in rrows:
+                metrics.rows_joined += 1
+                if governed:
+                    guard.charge_rows()
+                    guard.charge_doc_rows(doc)
+                yield lcells + rrow[:-1] + (lcount * rrow[-1],)
 
     def _cross(
         self,
@@ -140,30 +192,27 @@ class MergeJoinOp(PhysicalOp):
         metrics = self.runtime.metrics
         guard = self.runtime.guard
         governed = guard.active
-        preds = self._preds
+        holds = self._holds
+        l_has_scores, r_has_scores = self._l_has_scores, self._r_has_scores
         lw, lc, rc = self._l_width, self._l_count, self._r_count
         for lrow in lrows:
             lcells = lrow[:lw]
             lcount = lrow[lc]
             lscores = lrow[lc + 1:]
             for rrow in rrows:
-                rcells = rrow[:rc]
                 rcount = rrow[rc]
-                rscores = rrow[rc + 1:]
-                cells = lcells + rcells
-                if preds:
-                    row_probe = cells + (0,)
-                    if not all(p.holds(row_probe, starts) for p in preds):
-                        if governed:
-                            # Filtered combinations are still enumerated
-                            # work; keep the deadline responsive here.
-                            guard.tick()
-                        continue
+                cells = lcells + rrow[:rc]
+                if holds is not None and not holds(cells + (0,), starts):
+                    if governed:
+                        # Filtered combinations are still enumerated
+                        # work; keep the deadline responsive here.
+                        guard.tick()
+                    continue
                 ls = lscores
-                rs = rscores
-                if self._l_has_scores and rcount != 1:
+                rs = rrow[rc + 1:]
+                if l_has_scores and rcount != 1:
                     ls = tuple(times(s, rcount) for s in ls)
-                if self._r_has_scores and lcount != 1:
+                if r_has_scores and lcount != 1:
                     rs = tuple(times(s, lcount) for s in rs)
                 metrics.rows_joined += 1
                 if governed:
@@ -187,25 +236,20 @@ class ForwardScanJoinOp(MergeJoinOp):
     input's materialized rows).
     """
 
-    def next_doc(self) -> DocGroup | None:
-        guard = self.runtime.guard
-        governed = guard.active
-        while True:
-            if governed:
-                guard.tick()
-            doc = self._align()
-            if doc is None:
-                return None
-            lrows = list(self.left.rows())
-            rrows = list(self.right.rows())
-            self.left.advance()
-            self.right.advance()
-            starts = doc_structure(self.runtime, self._preds, doc)
-            row = self._first_match(doc, lrows, rrows, starts)
-            if row is not None:
-                return doc, iter((row,))
-            # No match in this document: move on rather than emit an
-            # empty group for every joint document.
+    def _matches(
+        self,
+        doc: int,
+        lrows: list[tuple],
+        rrows: list[tuple],
+        starts: tuple[int, ...],
+    ) -> Iterator[tuple] | None:
+        if self._can_sweep():
+            row = self._sweep(lrows, rrows)
+        else:
+            row = next(super()._matches(doc, lrows, rrows, starts), None)
+        # No match in this document: move on rather than emit an empty
+        # group for every joint document.
+        return iter((row,)) if row is not None else None
 
     #: Predicates for which the advance-the-smaller sweep is *complete*
     #: (finds a match whenever one exists): symmetric threshold predicates.
@@ -213,19 +257,6 @@ class ForwardScanJoinOp(MergeJoinOp):
     #: later b can help, so advancing a is safe.  DISTANCE and ORDER do not
     #: have this property and use the generic first-match scan instead.
     _SWEEPABLE = frozenset({"PROXIMITY", "WINDOW"})
-
-    def _first_match(
-        self,
-        doc: int,
-        lrows: list[tuple],
-        rrows: list[tuple],
-        starts: tuple[int, ...],
-    ) -> tuple | None:
-        if self._can_sweep():
-            return self._sweep(lrows, rrows)
-        for row in self._cross(doc, lrows, rrows, starts):
-            return row
-        return None
 
     def _can_sweep(self) -> bool:
         if (

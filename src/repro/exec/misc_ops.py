@@ -1,4 +1,5 @@
-"""Selection, sort, counting, anti-join and alternate elimination.
+"""The unary-chain driver, selection, sort, counting, anti-join and
+alternate elimination.
 
 Operators that emit lazy per-document row iterators defer advancing their
 child until the next ``next_doc``/``seek_doc`` call, honoring the contract
@@ -7,7 +8,7 @@ that a group's rows remain valid until then.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.exec.iterator import (
     DocCursor,
@@ -16,72 +17,169 @@ from repro.exec.iterator import (
     RowSchema,
     Runtime,
 )
-from repro.exec.join_ops import compile_predicates, doc_structure
+from repro.exec.join_ops import any_structural, compile_predicates, conjunction
 from repro.ma.match_table import ANY_POSITION, cell_sort_key
 from repro.mcalc.ast import Pred
 
 
-class UnaryLazyOp(PhysicalOp):
-    """Base for per-document row transformations (lazy, deferred advance)."""
+class ChainOp(PhysicalOp):
+    """A per-document unary operator, and the one driver of fused runs of
+    them.
+
+    A subclass states one *kernel*, ``self.kernel(doc, rows)``, a closure
+    compiled in its constructor.  A lazy stage's kernel returns the
+    document's output rows, pulled on demand; a folding stage
+    (:attr:`folds`) consumes what it needs of ``rows`` and returns the
+    document's single output row, or ``None`` when there is none.  A
+    kernel closes over the values it needs, never over its operator: a
+    kernel that held its operator would tie the tree into a reference
+    cycle through the driver's kernel cache, and a finished query's
+    operators would wait for the cyclic collector instead of being freed
+    with the last reference.
+
+    Built over an ordinary operator, a stage is a chain of one and drives
+    itself.  Built directly over another ``ChainOp``, it adopts that
+    operator's stages and child cursor and drives the whole run: per
+    document, the child's rows pass through the kernels bottom-up inside
+    a single ``next_doc`` — no cursor, settle step or generator frame
+    between the links.  The stage below is then never pulled itself; it
+    only lends its kernel and its schema.
+
+    Fusion is a decision about the physical tree only (the
+    :class:`repro.exec.scan_ops.ScoredPreCountScanOp` precedent): each
+    kernel computes what the standalone operator computes, in the same
+    order, on rows pulled equally lazily.  Under a tracer or a fault
+    injector nothing fuses — every logical node keeps its own operator,
+    so EXPLAIN ANALYZE and per-operator fault coverage see one operator
+    per node.
+
+    A run that folds emits at most one row per document, advances its
+    child eagerly and skips documents that fold to nothing; a run of lazy
+    stages only defers advancing the child until the next
+    ``next_doc``/``seek_doc``, honoring the rows-validity contract.
+    """
+
+    #: Whether the kernel folds a document's rows into at most one row.
+    folds = False
+
+    #: The stage's kernel; every subclass constructor assigns it.
+    kernel: Callable
 
     def __init__(self, runtime: Runtime, child: PhysicalOp):
         self.runtime = runtime
-        self.child = DocCursor(child)
+        if (
+            isinstance(child, ChainOp)
+            and runtime.tracer is None
+            and runtime.faults is None
+        ):
+            #: The adopted stages under this one, bottom-up.
+            self._below: tuple[ChainOp, ...] = child._below + (child,)
+            self.child = child.child
+            #: What error boundaries call this operator: a fused run's
+            #: failure is somewhere in the run, so the run is named.
+            self.op_name = f"{child.op_name}+{type(self).__name__}"
+        else:
+            self._below = ()
+            self.child = DocCursor(child)
+            self.op_name = type(self).__name__
         self.schema = child.schema
         self._pending_advance = False
-
-    def _settle(self) -> None:
-        if self._pending_advance:
-            self.child.advance()
-            self._pending_advance = False
+        #: Lazy links that would settle before a seek reaches the child:
+        #: those under the run's first fold, or under its top link.
+        folds = [stage.folds for stage in self._below] + [self.folds]
+        self._settles = folds.index(True) if True in folds else len(folds) - 1
+        #: ``(folds, kernel)`` per stage, bottom-up; collected on the first
+        #: ``next_doc``, when every stage has finished construction.
+        self._kernels: tuple[tuple[bool, Callable], ...] | None = None
 
     def next_doc(self) -> DocGroup | None:
-        self._settle()
+        child = self.child
+        if self._pending_advance:
+            child.advance()
+            self._pending_advance = False
+        kernels = self._kernels
+        if kernels is None:
+            kernels = self._kernels = tuple(
+                (stage.folds, stage.kernel) for stage in self._below + (self,)
+            )
         guard = self.runtime.guard
-        if guard.active:
-            guard.tick()
-        doc = self.child.doc()
-        if doc is None:
-            return None
-        self._pending_advance = True
-        return doc, self.transform(doc, self.child.rows())
+        governed = guard.active
+        while True:
+            if governed:
+                # One heartbeat per link, as when each was its own operator.
+                guard.tick(len(kernels))
+            group = child.group
+            if group is None:
+                return None
+            doc, rows = group
+            folded = False
+            for folds, kernel in kernels:
+                rows = kernel(doc, rows)
+                if folds:
+                    if rows is None:
+                        break
+                    folded = True
+                    rows = (rows,)
+            else:
+                if folded:
+                    child.advance()
+                    return doc, iter(rows)
+                self._pending_advance = True
+                return doc, rows
+            # Folded to nothing (every row was filtered out upstream).
+            child.advance()
 
     def seek_doc(self, doc_id: int) -> None:
-        self._settle()
-        self.child.seek(doc_id)
+        child = self.child
+        if self._pending_advance:
+            child.advance()
+            self._pending_advance = False
+        # Unfused, each lazy link under the driving one settles its own
+        # pending advance — reading one more document — before it passes
+        # a seek down.  A fused run reads the same documents, so the work
+        # counters (lazy billing) do not depend on whether a run is fused.
+        for _ in range(self._settles):
+            group = child.group
+            if group is None or group[0] >= doc_id:
+                break
+            child.advance()
+        child.seek(doc_id)
 
-    def transform(self, doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
-        raise NotImplementedError
 
-
-class SelectOp(UnaryLazyOp):
+class SelectOp(ChainOp):
     """Filter rows by a conjunction of full-text predicates."""
 
     def __init__(self, runtime: Runtime, child: PhysicalOp, predicates: tuple[Pred, ...]):
         super().__init__(runtime, child)
-        self._preds = compile_predicates(predicates, self.schema)
+        preds = compile_predicates(predicates, self.schema)
+        holds = conjunction(preds)
+        structural = any_structural(preds)
+        sentence_starts_of = runtime.index.sentence_starts_of
 
-    def transform(self, doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
-        preds = self._preds
-        starts = doc_structure(self.runtime, preds, doc)
-        return (row for row in rows if all(p.holds(row, starts) for p in preds))
+        def kernel(doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
+            if holds is None:
+                return rows
+            starts = sentence_starts_of(doc) if structural else ()
+            return (row for row in rows if holds(row, starts))
+
+        self.kernel = kernel
 
 
-class ForgetOp(UnaryLazyOp):
+class ForgetOp(ChainOp):
     """Generalized projection forgetting the positions of some columns
     (first half of the pre-counting chain)."""
 
     def __init__(self, runtime: Runtime, child: PhysicalOp, vars: tuple[str, ...]):
         super().__init__(runtime, child)
-        self._indices = tuple(self.schema.position_index(v) for v in vars)
+        indices = tuple(self.schema.position_index(v) for v in vars)
 
-    def transform(self, doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
-        indices = self._indices
-        for row in rows:
+        def forget(row: tuple) -> tuple:
             out = list(row)
             for i in indices:
                 out[i] = ANY_POSITION
-            yield tuple(out)
+            return tuple(out)
+
+        self.kernel = lambda doc, rows: map(forget, rows)
 
 
 class SortOp(PhysicalOp):
@@ -187,41 +285,30 @@ class AntiJoinOp(PhysicalOp):
         self.left.seek(doc_id)
 
 
-class AlternateElimOp(PhysicalOp):
+class AlternateElimOp(ChainOp):
     """The delta operator: first row per document, then skip.
 
     "It emits a new result match as soon as a new group is seen instead of
     waiting to see all group members, and it signals its child operators
     to skip any further tuples in the group" — the skip signal here is
-    simply abandoning the child's lazy row iterator and advancing, which
-    leaves unconsumed join combinations ungenerated and unbilled.
+    simply abandoning the lazy row iterator, which leaves unconsumed join
+    combinations ungenerated and unbilled.
     """
 
-    def __init__(self, runtime: Runtime, child: PhysicalOp):
-        self.runtime = runtime
-        self.child = DocCursor(child)
-        base = child.schema
-        self.schema = base
+    folds = True
 
-    def next_doc(self) -> DocGroup | None:
-        guard = self.runtime.guard
-        governed = guard.active
-        while True:
-            if governed:
-                guard.tick()
-            doc = self.child.doc()
-            if doc is None:
-                return None
-            first = next(iter(self.child.rows()), None)
-            self.child.advance()
+    def __init__(self, runtime: Runtime, child: PhysicalOp):
+        super().__init__(runtime, child)
+        ci = self.schema.count_index
+
+        def kernel(doc: int, rows: Iterator[tuple]) -> tuple | None:
+            first = next(iter(rows), None)
             if first is None:
                 # The document's rows were all filtered out: not a match.
-                continue
-            ci = self.schema.count_index
+                return None
             if first[ci] != 1:
                 # Multiplicity is meaningless once duplicates are skipped.
                 first = first[:ci] + (1,) + first[ci + 1:]
-            return doc, iter((first,))
+            return first
 
-    def seek_doc(self, doc_id: int) -> None:
-        self.child.seek(doc_id)
+        self.kernel = kernel

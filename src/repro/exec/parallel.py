@@ -70,7 +70,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from repro.errors import ResourceExhaustedError
-from repro.exec.engine import execute, make_runtime
+from repro.exec.engine import execute, make_runtime, rank_key
 from repro.exec.iterator import ExecutionMetrics, Runtime
 from repro.exec.limits import QueryGuard, QueryLimits
 from repro.graft.canonical import QueryInfo
@@ -207,9 +207,6 @@ def split_limits(
     ]
 
 
-_RANK_KEY = lambda pair: (-pair[1], pair[0])  # noqa: E731
-
-
 def merge_ranked(
     parts: Iterable[list[tuple[int, float]]], top_k: int | None = None
 ) -> list[tuple[int, float]]:
@@ -220,7 +217,7 @@ def merge_ranked(
     is O(N log S) and — because shard doc sets are disjoint — exactly
     equals sorting the concatenation.
     """
-    merged = list(heapq.merge(*parts, key=_RANK_KEY))
+    merged = list(heapq.merge(*parts, key=rank_key))
     if top_k is not None:
         return merged[:top_k]
     return merged

@@ -113,6 +113,7 @@ class ScoredPreCountScanOp(PhysicalOp):
         self.var = var
         self.keyword = keyword
         self.schema = RowSchema(positions=(), scores=(var,))
+        self._alpha = runtime.scheme.alpha_for(runtime.ctx, var, keyword)
         postings = runtime.index.doc_terms.get(keyword)
         if postings is None:
             self._doc_ids = _EMPTY
@@ -133,12 +134,9 @@ class ScoredPreCountScanOp(PhysicalOp):
         runtime.metrics.doc_entries_scanned += 1
         if runtime.guard.active:
             runtime.guard.charge_rows()
-        scheme = runtime.scheme
-        score = scheme.alpha(
-            runtime.ctx, doc, self.var, self.keyword, ANY_POSITION
-        )
+        score = self._alpha(doc, ANY_POSITION)
         if count != 1:
-            score = scheme.times(score, count)
+            score = runtime.scheme.times(score, count)
         return doc, iter(((count, score),))
 
     def seek_doc(self, doc_id: int) -> None:

@@ -3,31 +3,41 @@
 ``ScoreInitOp`` hosts alpha (a generalized projection), ``CombinePhiOp``
 hosts the conjunctive/disjunctive combinators, ``GroupScoreOp`` hosts the
 alternate combinator (a group-by), and ``FinalizeOp`` hosts omega.
+
+Each is one stage kernel of :class:`repro.exec.misc_ops.ChainOp` — a row
+map or a fold — and nothing else: cursoring, the guard heartbeat and the
+child's advancement belong to the chain driver, which runs a whole run of
+these stages (and ``AlternateElimOp``) per document in one loop when they
+sit directly on top of one another.  A kernel is a closure compiled when
+the operator is built, so everything that is fixed for the query — the
+bound alphas, the combinators, column indices, the compiled Phi — is
+looked up once, not once per document.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import ExecutionError
-from repro.exec.iterator import (
-    DocCursor,
-    DocGroup,
-    PhysicalOp,
-    RowSchema,
-    Runtime,
-)
-from repro.exec.misc_ops import UnaryLazyOp
-from repro.mcalc.scoring_plan import fold_phi
+from repro.exec.iterator import PhysicalOp, RowSchema, Runtime
+from repro.exec.misc_ops import ChainOp
+from repro.mcalc.scoring_plan import compile_phi
 from repro.sa.scheme import ScoringScheme
 
+#: A lazy stage's kernel: ``(doc, rows) -> rows``.
+RowsKernel = Callable[[int, Iterator[tuple]], Iterator[tuple]]
+#: A folding stage's kernel: ``(doc, rows) -> row | None``.
+FoldKernel = Callable[[int, Iterator[tuple]], "tuple | None"]
 
-class ScoreInitOp(UnaryLazyOp):
+
+class ScoreInitOp(ChainOp):
     """Append ``alpha``-initialized score columns for the given variables.
 
-    Alpha values are memoized per (variable, cell) within each document —
-    in a cross product the same position reappears in many rows.  When the
-    scheme defines a per-row positional adjustment (the Lucene proximity
+    Alpha is bound once per variable when the operator is built
+    (:meth:`repro.sa.scheme.ScoringScheme.alpha_for`).  Its values are
+    memoized per (variable, cell) within each document — in a cross
+    product the same position reappears in many rows.  When the scheme
+    defines a per-row positional adjustment (the Lucene proximity
     extension), it is applied to the adjusted variables' scores before
     anything aggregates them.
 
@@ -49,99 +59,99 @@ class ScoreInitOp(UnaryLazyOp):
         self.scale_by_count = scale_by_count
         base = child.schema
         self.schema = RowSchema(base.positions, base.scores + vars)
-        self._cell_indices = tuple(base.position_index(v) for v in vars)
-        self._count_index = base.count_index
-        scheme = runtime.scheme
-        self._has_adjust = (
-            type(scheme).cell_adjust is not ScoringScheme.cell_adjust
-        )
-        if self._has_adjust:
-            available = set(base.positions)
-            self._adjust_preds = scheme.adjusting_predicates(tuple(
-                p
-                for p in runtime.info.predicates
-                if set(p.vars) <= available
-            ))
-            self._all_cell_indices = tuple(
-                base.position_index(v) for v in base.positions
-            )
-        else:
-            self._adjust_preds = ()
+        self.kernel = self._compile(base)
 
-    def transform(self, doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
+    def _compile(self, base: RowSchema) -> RowsKernel:
         runtime = self.runtime
         scheme = runtime.scheme
         ctx = runtime.ctx
         keywords = runtime.info.var_keywords
-        cache: dict[tuple[str, object], object] = {}
-        ci = self._count_index
+        variables = self.vars
+        # Per variable: its cell's row index, its bound alpha, and its
+        # (cell -> score) memo, emptied at each document.
+        columns = tuple(
+            (base.position_index(v), scheme.alpha_for(ctx, v, keywords[v]), {})
+            for v in variables
+        )
+        memos = tuple(memo for _, _, memo in columns)
+        count_index = base.count_index
+        scale_by_count = self.scale_by_count
+        times = scheme.times
+        positions = base.positions
+        adjust_preds: tuple = ()
+        if type(scheme).cell_adjust is not ScoringScheme.cell_adjust:
+            available = set(positions)
+            adjust_preds = scheme.adjusting_predicates(tuple(
+                p for p in runtime.info.predicates if set(p.vars) <= available
+            ))
+        cell_adjust = scheme.cell_adjust
+        doc = -1
 
-        for row in rows:
-            count = row[ci]
+        def init_row(row: tuple) -> tuple:
             fresh = []
-            for var, idx in zip(self.vars, self._cell_indices):
+            for idx, alpha, memo in columns:
                 cell = row[idx]
-                key = (var, cell)
-                score = cache.get(key)
+                score = memo.get(cell)
                 if score is None:
-                    score = scheme.alpha(ctx, doc, var, keywords[var], cell)
-                    cache[key] = score
+                    score = memo[cell] = alpha(doc, cell)
                 fresh.append(score)
-            if self._has_adjust and self._adjust_preds:
-                cells = {
-                    v: row[i]
-                    for v, i in zip(self.child.op.schema.positions, self._all_cell_indices)
-                }
-                factors = scheme.cell_adjust(ctx, doc, cells, self._adjust_preds)
+            if adjust_preds:
+                # Position columns lead the row, in schema order.
+                cells = dict(zip(positions, row))
+                factors = cell_adjust(ctx, doc, cells, adjust_preds)
                 if factors:
-                    for j, var in enumerate(self.vars):
+                    for j, var in enumerate(variables):
                         f = factors.get(var)
                         if f is not None:
                             fresh[j] = fresh[j] * f
-            if self.scale_by_count and count != 1:
-                fresh = [scheme.times(s, count) for s in fresh]
-            yield row + tuple(fresh)
+            if scale_by_count:
+                count = row[count_index]
+                if count != 1:
+                    fresh = [times(s, count) for s in fresh]
+            return row + tuple(fresh)
+
+        def kernel(doc_id: int, rows: Iterator[tuple]) -> Iterator[tuple]:
+            # A document's rows are dead once the next document is opened
+            # (the PhysicalOp contract), so one memo set serves them all.
+            nonlocal doc
+            doc = doc_id
+            for memo in memos:
+                memo.clear()
+            return map(init_row, rows)
+
+        return kernel
 
 
-class CombinePhiOp(UnaryLazyOp):
+class CombinePhiOp(ChainOp):
     """Fold the per-variable score columns of each row through the scoring
-    plan Phi into a single ``s`` column; position columns are dropped."""
+    plan Phi into a single ``s`` column; position columns are dropped.
+
+    Phi is compiled once, when the operator is built, into a closure tree
+    over the row's score columns
+    (:func:`repro.mcalc.scoring_plan.compile_phi`)."""
 
     def __init__(self, runtime: Runtime, child: PhysicalOp):
         super().__init__(runtime, child)
         base = child.schema
         self.schema = RowSchema(positions=(), scores=("s",))
-        self._count_index = base.count_index
-        self._score_index = {
-            v: base.score_index(v) for v in base.scores
-        }
-        self._phi = runtime.info.phi
-        missing = [v for v in self._phi_vars() if v not in self._score_index]
+        phi = runtime.info.phi
+        missing = [v for v in phi.variables() if v not in base.scores]
         if missing:
             raise ExecutionError(
                 f"Phi references unscored variables {missing}; "
-                f"available: {sorted(self._score_index)}"
+                f"available: {sorted(base.scores)}"
             )
+        scheme = runtime.scheme
+        combine = compile_phi(phi, base.score_index, scheme.conj, scheme.disj)
+        count_index = base.count_index
 
-    def _phi_vars(self) -> list[str]:
-        return list(self._phi.variables())
+        def phi_row(row: tuple) -> tuple:
+            return (row[count_index], combine(row))
 
-    def transform(self, doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
-        scheme = self.runtime.scheme
-        phi = self._phi
-        idx = self._score_index
-        ci = self._count_index
-        for row in rows:
-            s = fold_phi(
-                phi,
-                lambda v: row[idx[v]],
-                scheme.conj,
-                scheme.disj,
-            )
-            yield (row[ci], s)
+        self.kernel: RowsKernel = lambda doc, rows: map(phi_row, rows)
 
 
-class GroupScoreOp(PhysicalOp):
+class GroupScoreOp(ChainOp):
     """Group by document, alternate-folding every score column in row
     order; emits one row per document with multiplicity = total count.
 
@@ -152,64 +162,56 @@ class GroupScoreOp(PhysicalOp):
     unrestricted eager counting).
     """
 
+    folds = True
+
     def __init__(self, runtime: Runtime, child: PhysicalOp, counts_incorporated: bool):
-        self.runtime = runtime
-        self.child = DocCursor(child)
+        super().__init__(runtime, child)
         self.counts_incorporated = counts_incorporated
         base = child.schema
-        self.schema = RowSchema(positions=(), scores=base.scores)
-        self._score_indices = tuple(
-            base.score_index(v) for v in base.scores
-        )
-        self._count_index = base.count_index
         if not base.scores:
             raise ExecutionError("GroupScore requires score columns")
+        self.schema = RowSchema(positions=(), scores=base.scores)
+        self.kernel = self._compile(base.count_index)
 
-    def next_doc(self) -> DocGroup | None:
+    def _compile(self, ci: int) -> FoldKernel:
         scheme = self.runtime.scheme
         alt = scheme.alt
         times = scheme.times
-        guard = self.runtime.guard
-        governed = guard.active
         incorporated = self.counts_incorporated
-        ci = self._count_index
-        while True:
-            if governed:
-                guard.tick()
-            doc = self.child.doc()
-            if doc is None:
-                return None
-            acc: list | None = None
+        metrics = self.runtime.metrics
+
+        def kernel(doc: int, rows: Iterator[tuple]) -> tuple | None:
+            acc = None
             total = 0
             n_rows = 0
-            for row in self.child.rows():
+            for row in rows:
                 count = row[ci]
                 total += count
                 n_rows += 1
-                scores = [row[i] for i in self._score_indices]
+                # Score columns trail the count, in schema order.
+                scores = row[ci + 1:]
                 if not incorporated and count != 1:
                     scores = [times(s, count) for s in scores]
                 if acc is None:
                     acc = scores
                 else:
                     acc = [alt(a, s) for a, s in zip(acc, scores)]
-            self.child.advance()
             if acc is None:
                 # Every row of the document was filtered out upstream.
-                continue
-            self.runtime.metrics.rows_grouped += n_rows
-            return doc, iter((((total,) + tuple(acc)),))
+                return None
+            metrics.rows_grouped += n_rows
+            return (total,) + tuple(acc)
 
-    def seek_doc(self, doc_id: int) -> None:
-        self.child.seek(doc_id)
+        return kernel
 
 
-class FinalizeOp(PhysicalOp):
+class FinalizeOp(ChainOp):
     """Host omega: emit one (score,) row per document."""
 
+    folds = True
+
     def __init__(self, runtime: Runtime, child: PhysicalOp):
-        self.runtime = runtime
-        self.child = DocCursor(child)
+        super().__init__(runtime, child)
         base = child.schema
         if base.scores != ("s",):
             raise ExecutionError(
@@ -217,30 +219,21 @@ class FinalizeOp(PhysicalOp):
                 f"got {base.scores}"
             )
         self.schema = RowSchema(positions=(), scores=("score",))
-        self._s_index = base.score_index("s")
+        self.kernel = self._compile(base.score_index("s"))
 
-    def next_doc(self) -> DocGroup | None:
-        scheme = self.runtime.scheme
+    def _compile(self, s_index: int) -> FoldKernel:
+        omega = self.runtime.scheme.omega
         ctx = self.runtime.ctx
-        guard = self.runtime.guard
-        governed = guard.active
-        while True:
-            if governed:
-                guard.tick()
-            doc = self.child.doc()
-            if doc is None:
-                return None
-            rows = list(self.child.rows())
-            self.child.advance()
+
+        def kernel(doc: int, rows: Iterator[tuple]) -> tuple | None:
+            rows = list(rows)
             if not rows:
-                continue
+                return None
             if len(rows) != 1:
                 raise ExecutionError(
                     f"document {doc} reached Finalize with {len(rows)} rows; "
                     "plans must aggregate to one row per document"
                 )
-            score = scheme.omega(ctx, doc, rows[0][self._s_index])
-            return doc, iter(((1, float(score)),))
+            return (1, float(omega(ctx, doc, rows[0][s_index])))
 
-    def seek_doc(self, doc_id: int) -> None:
-        self.child.seek(doc_id)
+        return kernel

@@ -85,12 +85,13 @@ def _column_stream(
     is simply alpha of any occurrence, whatever the multiplicity.
     """
     postings = index.postings(keyword)
+    alpha = scheme.alpha_for(ctx, var, keyword)
     scored = []
     governed = guard is not None and guard.active
     for i in range(len(postings.doc_ids)):
         doc = int(postings.doc_ids[i])
         offset = postings.offsets[i][0]
-        s = scheme.alpha(ctx, doc, var, keyword, offset)
+        s = alpha(doc, offset)
         if governed:
             guard.charge_rows()
         scored.append((float(s), doc))
@@ -240,10 +241,10 @@ def rank_topk(
             combined = acc
         else:
             def empty_for(var: str) -> Callable[[int], float]:
-                keyword = query.var_keywords[var]
+                alpha = scheme.alpha_for(ctx, var, query.var_keywords[var])
 
                 def value(doc: int) -> float:
-                    return float(scheme.alpha(ctx, doc, var, keyword, None))
+                    return float(alpha(doc, None))
 
                 return value
 

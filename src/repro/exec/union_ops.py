@@ -12,6 +12,7 @@ match-table sub-rows).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from repro.exec.iterator import (
@@ -21,60 +22,58 @@ from repro.exec.iterator import (
     RowSchema,
     Runtime,
 )
+from repro.sa.scheme import BoundAlpha
 
 
 class _BranchPad:
     """Precomputed projection of one branch's rows into the union schema."""
 
     def __init__(self, runtime: Runtime, branch: RowSchema, out: RowSchema):
-        self.runtime = runtime
+        self.times = runtime.scheme.times
         # For each output position column: the branch row index, or None.
         self.position_map = [
             branch.positions.index(v) if v in branch.positions else None
             for v in out.positions
         ]
         self.count_index = branch.count_index
-        # For each output score column: branch score row-index, or the
-        # variable name to pad with alpha(empty).
-        self.score_map: list[int | str] = [
-            branch.score_index(v) if v in branch.scores else v
+        # For each output score column: the branch score row-index, or the
+        # missing variable's bound alpha, to pad with alpha(empty).
+        keywords = runtime.info.var_keywords
+        self.score_map: list[int | BoundAlpha] = [
+            branch.score_index(v)
+            if v in branch.scores
+            else runtime.scheme.alpha_for(runtime.ctx, v, keywords[v])
             for v in out.scores
         ]
         self.needs_padding = any(i is None for i in self.position_map) or any(
-            isinstance(m, str) for m in self.score_map
+            not isinstance(m, int) for m in self.score_map
         )
 
     def project(self, doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
         if not self.needs_padding:
-            yield from rows
-            return
-        runtime = self.runtime
-        info = runtime.info
-        scheme = runtime.scheme
-        empty_alpha_cache: dict[str, object] = {}
+            return rows
+        return self._pad(doc, rows)
 
-        def empty_alpha(var: str):
-            if var not in empty_alpha_cache:
-                empty_alpha_cache[var] = scheme.alpha(
-                    runtime.ctx, doc, var, info.var_keywords[var], None
-                )
-            return empty_alpha_cache[var]
-
+    def _pad(self, doc: int, rows: Iterator[tuple]) -> Iterator[tuple]:
+        times = self.times
+        position_map = self.position_map
+        count_index = self.count_index
+        score_map = self.score_map
+        # alpha(empty) of each padded score column, once per document.
+        empties = [
+            None if isinstance(m, int) else m(doc, None) for m in score_map
+        ]
         for row in rows:
             cells = tuple(
-                row[i] if i is not None else None for i in self.position_map
+                [row[i] if i is not None else None for i in position_map]
             )
-            count = row[self.count_index]
-            scores = tuple(
+            count = row[count_index]
+            scores = tuple([
                 row[m]
                 if isinstance(m, int)
-                else (
-                    scheme.times(empty_alpha(m), count)
-                    if count != 1
-                    else empty_alpha(m)
-                )
-                for m in self.score_map
-            )
+                else (times(empty, count) if count != 1 else empty)
+                for m, empty in zip(score_map, empties)
+            ])
             yield cells + (count,) + scores
 
 
@@ -125,15 +124,10 @@ class UnionOp(PhysicalOp):
         # Same document in both branches: left branch's rows first.
         self._advance_left = True
         self._advance_right = True
-        return dl, self._chain(
+        return dl, chain(
             self._lpad.project(dl, self.left.rows()),
             self._rpad.project(dl, self.right.rows()),
         )
-
-    @staticmethod
-    def _chain(first: Iterator[tuple], second: Iterator[tuple]) -> Iterator[tuple]:
-        yield from first
-        yield from second
 
     def seek_doc(self, doc_id: int) -> None:
         self._settle()

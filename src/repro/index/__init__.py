@@ -10,7 +10,6 @@ seeking forward (the skip pointers that make zig-zag joins effective).
 from repro.index.builder import IndexBuilder, build_index
 from repro.index.index import Index
 from repro.index.postings import PositionPostings
-from repro.index.scan import DocumentScan, PositionScan
 from repro.index.stats import CollectionStats
 
 __all__ = [
@@ -18,7 +17,5 @@ __all__ = [
     "IndexBuilder",
     "build_index",
     "PositionPostings",
-    "PositionScan",
-    "DocumentScan",
     "CollectionStats",
 ]

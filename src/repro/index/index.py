@@ -7,7 +7,8 @@ reproduces the paper's physical setting faithfully.
 The *term-document* view exists as a distinct object, not a convenience
 accessor: the pre-counting optimization's benefit (Section 5.2.3) is that
 ``CA`` scans one entry per document instead of one entry per position, and
-the two scan types in :mod:`repro.index.scan` bill their work accordingly.
+the two leaf operators in :mod:`repro.exec.scan_ops` bill their work
+accordingly.
 """
 
 from __future__ import annotations

@@ -107,8 +107,19 @@ class PositionPostings:
         return ()
 
     def term_frequency(self, doc_id: int) -> int:
-        """#INDOC in Figure 1: occurrences of the term in ``doc_id``."""
-        return len(self.positions_in(doc_id))
+        """#INDOC in Figure 1: occurrences of the term in ``doc_id``.
+
+        Called once per scored cell (a bound BM25 weigher holds this
+        method), so the lookup of :meth:`positions_in` is spelled out
+        rather than called.
+        """
+        seq = self._doc_id_list
+        if seq is None:
+            seq = self.doc_id_list
+        i = bisect_left(seq, doc_id)
+        if i < len(seq) and seq[i] == doc_id:
+            return len(self.offsets[i])
+        return 0
 
     def __len__(self) -> int:
         return len(self.doc_ids)

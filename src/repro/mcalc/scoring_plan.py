@@ -25,7 +25,8 @@ non-associative and non-commutative schemes stay well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import PlanError
 from repro.mcalc.ast import And, Empty, Formula, Has, Not, Or, Pred, Query
@@ -136,3 +137,36 @@ def fold_phi(
             acc = disj(acc, fold_phi(child, leaf, conj, disj))
         return acc
     raise PlanError(f"unknown Phi node {type(phi).__name__}")
+
+
+def compile_phi(
+    phi: PhiNode,
+    column_of: Callable[[str], int],
+    conj: Callable[[object, object], object],
+    disj: Callable[[object, object], object],
+) -> Callable[[Sequence], object]:
+    """Compile ``phi`` into a closure tree evaluated over rows.
+
+    ``column_of(var)`` is the row index holding the variable's score.  The
+    result maps a row to what :func:`fold_phi` returns for the leaf lookup
+    ``lambda v: row[column_of(v)]`` — the same combinator calls in the
+    same left-to-right order — with the tree walked once, here, instead
+    of once per row.
+    """
+    if isinstance(phi, PhiVar):
+        return itemgetter(column_of(phi.var))
+    if isinstance(phi, PhiConj):
+        combine = conj
+    elif isinstance(phi, PhiDisj):
+        combine = disj
+    else:
+        raise PlanError(f"unknown Phi node {type(phi).__name__}")
+    first, *rest = (compile_phi(c, column_of, conj, disj) for c in phi.children)
+
+    def node(row: Sequence) -> object:
+        acc = first(row)
+        for child in rest:
+            acc = combine(acc, child(row))
+        return acc
+
+    return node

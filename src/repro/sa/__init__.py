@@ -19,10 +19,11 @@ from repro.sa.context import (
 from repro.sa.properties import Associativity, SchemeProperties
 from repro.sa.reference import rank_with_oracle, score_match_table
 from repro.sa.registry import available_schemes, get_scheme, register_scheme
-from repro.sa.scheme import ScoringScheme
+from repro.sa.scheme import BoundAlphaScheme, ScoringScheme
 
 __all__ = [
     "ScoringScheme",
+    "BoundAlphaScheme",
     "SchemeProperties",
     "Associativity",
     "ScoringContext",

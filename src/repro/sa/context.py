@@ -12,6 +12,7 @@ actual Wikipedia snapshot.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 from repro.index.index import Index
 
@@ -39,6 +40,19 @@ class ScoringContext(ABC):
     def document_frequency(self, term: str) -> int:
         """#DOCS: documents containing ``term``."""
 
+    def bind_term_frequency(self, term: str) -> Callable[[int], int]:
+        """:meth:`term_frequency` bound to one term: ``doc_id -> #INDOC``.
+
+        Initializers bound once per (query, variable)
+        (:meth:`repro.sa.scheme.ScoringScheme.alpha_for`) call this once
+        and the result once per document, so a context may hoist whatever
+        its per-term lookup costs out of the per-document call.  The
+        default closes over :meth:`term_frequency`; the values are the
+        same by definition.
+        """
+        term_frequency = self.term_frequency
+        return lambda doc_id: term_frequency(doc_id, term)
+
 
 class IndexScoringContext(ScoringContext):
     """Statistics read from a built :class:`repro.index.Index`."""
@@ -60,6 +74,10 @@ class IndexScoringContext(ScoringContext):
 
     def document_frequency(self, term: str) -> int:
         return self.index.document_frequency(term)
+
+    def bind_term_frequency(self, term: str) -> Callable[[int], int]:
+        # The term's postings are looked up here, once, not per document.
+        return self.index.postings(term).term_frequency
 
 
 class OverrideScoringContext(ScoringContext):
@@ -100,6 +118,9 @@ class OverrideScoringContext(ScoringContext):
 
     def term_frequency(self, doc_id: int, term: str) -> int:
         return self.base.term_frequency(doc_id, term)
+
+    def bind_term_frequency(self, term: str) -> Callable[[int], int]:
+        return self.base.bind_term_frequency(term)
 
     def document_frequency(self, term: str) -> int:
         if term in self._document_frequency:

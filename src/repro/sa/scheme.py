@@ -5,6 +5,15 @@ algebra" (Section 4).  Schemes additionally declare the Section 5.1
 properties through which the optimizer selects valid rewrites, without the
 scheme developer ever needing to know the optimizer's internals.
 
+``alpha`` is the paper's operator and all a plug-in scheme has to write.
+The executor never calls it per cell: it asks for
+:meth:`ScoringScheme.alpha_for` — ``alpha`` bound to one (context,
+variable, keyword) — once per scored column when a plan is compiled, and
+calls the bound form ``(doc_id, cell) -> score`` per cell.  The default
+binding closes over ``alpha``; a scheme whose initializer reads
+document-independent statistics (an idf) overrides the binding to read
+them once (:class:`BoundAlphaScheme`, the built-in schemes).
+
 Internal scores may be any Python value ("the aggregate score is a
 structure, called an internal score, composed of one or more values that
 are aggregated independently") — floats, tuples, whatever the scheme
@@ -14,7 +23,7 @@ needs.  Only the finalizer must produce a float.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ExecutionError
 from repro.ma.match_table import ANY_POSITION
@@ -24,6 +33,10 @@ from repro.sa.properties import SchemeProperties
 
 #: Type alias for internal scores.
 Score = Any
+
+#: ``alpha`` bound to one (context, variable, keyword): ``(doc_id, cell) ->
+#: score`` (see :meth:`ScoringScheme.alpha_for`).
+BoundAlpha = Callable[[int, "int | None"], Score]
 
 
 class ScoringScheme(ABC):
@@ -54,6 +67,25 @@ class ScoringScheme(ABC):
         offset: int | None,
     ) -> Score:
         """Step 1 (initialization): score one match-table cell."""
+
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        """:meth:`alpha` bound once per (query, variable):
+        ``alpha_for(ctx, var, keyword)(doc_id, cell) ==
+        alpha(ctx, doc_id, var, keyword, cell)``, exactly.
+
+        The executor binds every scored column when a plan is compiled
+        and calls the result once per cell, so whatever ``alpha`` reads
+        that does not depend on the document — the keyword's ``#DOCS``,
+        the collection size, an idf — can be read here instead of per
+        cell.  The default closes over :meth:`alpha`, which is all a
+        plug-in scheme needs; the built-in schemes state their
+        initializer in this form (:class:`BoundAlphaScheme`) over the
+        weigher factories of :mod:`repro.sa.weighting`.  A bound alpha
+        must stay a pure function of ``(doc_id, cell)``: the executor
+        memoizes it per document.
+        """
+        alpha = self.alpha
+        return lambda doc_id, cell: alpha(ctx, doc_id, var, keyword, cell)
 
     @abstractmethod
     def conj(self, left: Score, right: Score) -> Score:
@@ -151,3 +183,25 @@ class ScoringScheme(ABC):
 
     def __repr__(self) -> str:
         return f"<ScoringScheme {self.name}>"
+
+
+class BoundAlphaScheme(ScoringScheme):
+    """A scheme that states its initializer once, in bound form.
+
+    Subclasses implement :meth:`alpha_for`; :meth:`alpha` is that binding
+    applied to a single cell, so the two cannot disagree.
+    """
+
+    def alpha(
+        self,
+        ctx: ScoringContext,
+        doc_id: int,
+        var: str,
+        keyword: str,
+        offset: int | None,
+    ) -> Score:
+        return self.alpha_for(ctx, var, keyword)(doc_id, offset)
+
+    @abstractmethod
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        """Step 1 (initialization), bound to one (query, variable)."""

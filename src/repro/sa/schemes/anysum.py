@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from repro.sa.context import ScoringContext
 from repro.sa.properties import Associativity, SchemeProperties
-from repro.sa.scheme import ScoringScheme
-from repro.sa.weighting import bm25
+from repro.sa.scheme import BoundAlpha, BoundAlphaScheme
+from repro.sa.weighting import bm25_weigher
 
 
-class AnySum(ScoringScheme):
+class AnySum(BoundAlphaScheme):
     """alpha = BM25(d, k); conj = disj = +; alt picks either argument."""
 
     name = "anysum"
@@ -44,17 +44,11 @@ class AnySum(ScoringScheme):
         disj_monotonic_increasing=True,
     )
 
-    def alpha(
-        self,
-        ctx: ScoringContext,
-        doc_id: int,
-        var: str,
-        keyword: str,
-        offset: int | None,
-    ) -> float:
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        weigh = bm25_weigher(ctx, keyword)
         # The cell is deliberately unused: every position of the keyword —
         # and the empty symbol — carries the same (doc, keyword) weight.
-        return bm25(ctx, doc_id, keyword)
+        return lambda doc_id, offset: weigh(doc_id)
 
     def conj(self, left: float, right: float) -> float:
         return left + right

@@ -18,8 +18,8 @@ import math
 
 from repro.sa.context import ScoringContext
 from repro.sa.properties import Associativity, SchemeProperties
-from repro.sa.scheme import ScoringScheme
-from repro.sa.weighting import bm25
+from repro.sa.scheme import BoundAlpha, BoundAlphaScheme
+from repro.sa.weighting import bm25_weigher
 
 _INF = math.inf
 
@@ -33,7 +33,7 @@ def min_dist(positions: tuple[int, ...]) -> float:
     return float(min(b - a for a, b in zip(ordered, ordered[1:])))
 
 
-class BestSumMinDist(ScoringScheme):
+class BestSumMinDist(BoundAlphaScheme):
     """Row-first, positional: best match's BM25 sum plus proximity bonus."""
 
     name = "bestsum-mindist"
@@ -54,18 +54,17 @@ class BestSumMinDist(ScoringScheme):
         disj_monotonic_increasing=True,
     )
 
-    def alpha(
-        self,
-        ctx: ScoringContext,
-        doc_id: int,
-        var: str,
-        keyword: str,
-        offset: int | None,
-    ) -> tuple:
-        if offset is None:
-            return (0.0, _INF, ())
-        self._reject_any(offset)
-        return (bm25(ctx, doc_id, keyword), _INF, (offset,))
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        weigh = bm25_weigher(ctx, keyword)
+        reject_any = self._reject_any
+
+        def alpha(doc_id: int, offset: int | None) -> tuple:
+            if offset is None:
+                return (0.0, _INF, ())
+            reject_any(offset)
+            return (weigh(doc_id), _INF, (offset,))
+
+        return alpha
 
     def conj(self, left: tuple, right: tuple) -> tuple:
         positions = left[2] + right[2]

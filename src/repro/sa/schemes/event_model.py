@@ -20,11 +20,11 @@ import math
 
 from repro.sa.context import ScoringContext
 from repro.sa.properties import Associativity, SchemeProperties
-from repro.sa.scheme import ScoringScheme
-from repro.sa.weighting import bm25
+from repro.sa.scheme import BoundAlpha, BoundAlphaScheme
+from repro.sa.weighting import bm25_weigher
 
 
-class EventModel(ScoringScheme):
+class EventModel(BoundAlphaScheme):
     """conj = product, disj = alt = probabilistic-or; row-first."""
 
     name = "event-model"
@@ -47,17 +47,15 @@ class EventModel(ScoringScheme):
         disj_monotonic_increasing=True,
     )
 
-    def alpha(
-        self,
-        ctx: ScoringContext,
-        doc_id: int,
-        var: str,
-        keyword: str,
-        offset: int | None,
-    ) -> float:
-        if offset is None:
-            return 0.0
-        return 1.0 - math.exp(-bm25(ctx, doc_id, keyword))
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        weigh = bm25_weigher(ctx, keyword)
+
+        def alpha(doc_id: int, offset: int | None) -> float:
+            if offset is None:
+                return 0.0
+            return 1.0 - math.exp(-weigh(doc_id))
+
+        return alpha
 
     def conj(self, left: float, right: float) -> float:
         return left * right

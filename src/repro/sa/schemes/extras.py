@@ -15,8 +15,9 @@ Both register under their names on import of :mod:`repro.sa.schemes`.
 from __future__ import annotations
 
 from repro.sa.context import ScoringContext
+from repro.sa.scheme import BoundAlpha
 from repro.sa.schemes.anysum import AnySum
-from repro.sa.weighting import kl_divergence
+from repro.sa.weighting import kl_divergence_weigher
 
 
 class AnyProd(AnySum):
@@ -42,12 +43,6 @@ class KLSum(AnySum):
     name = "klsum"
     properties = AnySum.properties
 
-    def alpha(
-        self,
-        ctx: ScoringContext,
-        doc_id: int,
-        var: str,
-        keyword: str,
-        offset: int | None,
-    ) -> float:
-        return kl_divergence(ctx, doc_id, keyword)
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        weigh = kl_divergence_weigher(ctx, keyword)
+        return lambda doc_id, offset: weigh(doc_id)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from repro.sa.context import ScoringContext
 from repro.sa.properties import Associativity, SchemeProperties
-from repro.sa.scheme import ScoringScheme
-from repro.sa.weighting import tfidf_meansum
+from repro.sa.scheme import BoundAlpha, BoundAlphaScheme
+from repro.sa.weighting import tfidf_meansum_weigher
 
 
 def _div(num: float, den: float) -> float:
@@ -31,7 +31,7 @@ def _div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-class JoinNormalized(ScoringScheme):
+class JoinNormalized(BoundAlphaScheme):
     """Score shares normalized by canonical subtable sizes."""
 
     name = "join-normalized"
@@ -62,18 +62,17 @@ class JoinNormalized(ScoringScheme):
         disj_monotonic_increasing=True,
     )
 
-    def alpha(
-        self,
-        ctx: ScoringContext,
-        doc_id: int,
-        var: str,
-        keyword: str,
-        offset: int | None,
-    ) -> tuple[float, float]:
-        occurrences = ctx.term_frequency(doc_id, keyword)
-        if offset is None:
-            return (0.0, float(occurrences))
-        return (tfidf_meansum(ctx, doc_id, keyword), float(occurrences))
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        weigh = tfidf_meansum_weigher(ctx, keyword)
+        tf_in = ctx.bind_term_frequency(keyword)
+
+        def alpha(doc_id: int, offset: int | None) -> tuple[float, float]:
+            occurrences = tf_in(doc_id)
+            if offset is None:
+                return (0.0, float(occurrences))
+            return (weigh(doc_id), float(occurrences))
+
+        return alpha
 
     def conj(self, left: tuple, right: tuple) -> tuple:
         scr = _div(left[0], right[1]) + _div(right[0], left[1])

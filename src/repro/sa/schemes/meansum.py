@@ -16,11 +16,11 @@ import math
 
 from repro.sa.context import ScoringContext
 from repro.sa.properties import Associativity, SchemeProperties
-from repro.sa.scheme import ScoringScheme
-from repro.sa.weighting import tfidf_meansum
+from repro.sa.scheme import BoundAlpha, BoundAlphaScheme
+from repro.sa.weighting import tfidf_meansum_weigher
 
 
-class MeanSum(ScoringScheme):
+class MeanSum(BoundAlphaScheme):
     """Exactly the Example 3 pseudocode."""
 
     name = "meansum"
@@ -46,17 +46,15 @@ class MeanSum(ScoringScheme):
         disj_monotonic_increasing=True,
     )
 
-    def alpha(
-        self,
-        ctx: ScoringContext,
-        doc_id: int,
-        var: str,
-        keyword: str,
-        offset: int | None,
-    ) -> tuple[float, int]:
-        if offset is None:
-            return (0.0, 1)
-        return (tfidf_meansum(ctx, doc_id, keyword), 1)
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        weigh = tfidf_meansum_weigher(ctx, keyword)
+
+        def alpha(doc_id: int, offset: int | None) -> tuple[float, int]:
+            if offset is None:
+                return (0.0, 1)
+            return (weigh(doc_id), 1)
+
+        return alpha
 
     def conj(self, left: tuple, right: tuple) -> tuple:
         # Conjuncted scores refer to the same set of matches, so they have

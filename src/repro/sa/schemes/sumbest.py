@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from repro.sa.context import ScoringContext
 from repro.sa.properties import Associativity, SchemeProperties
-from repro.sa.scheme import ScoringScheme
-from repro.sa.weighting import bm25
+from repro.sa.scheme import BoundAlpha, BoundAlphaScheme
+from repro.sa.weighting import bm25_weigher
 
 
-class SumBest(ScoringScheme):
+class SumBest(BoundAlphaScheme):
     """alpha = BM25 or 0 for empty; alt = max; conj = disj = +;
     column-first."""
 
@@ -38,17 +38,15 @@ class SumBest(ScoringScheme):
         disj_monotonic_increasing=True,
     )
 
-    def alpha(
-        self,
-        ctx: ScoringContext,
-        doc_id: int,
-        var: str,
-        keyword: str,
-        offset: int | None,
-    ) -> float:
-        if offset is None:
-            return 0.0
-        return bm25(ctx, doc_id, keyword)
+    def alpha_for(self, ctx: ScoringContext, var: str, keyword: str) -> BoundAlpha:
+        weigh = bm25_weigher(ctx, keyword)
+
+        def alpha(doc_id: int, offset: int | None) -> float:
+            if offset is None:
+                return 0.0
+            return weigh(doc_id)
+
+        return alpha
 
     def conj(self, left: float, right: float) -> float:
         return left + right

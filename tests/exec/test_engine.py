@@ -38,6 +38,27 @@ def test_top_k_is_prefix_of_full(tiny_index):
     assert top == full[:2]
 
 
+def test_every_top_k_is_the_sorted_prefix_ties_included(tiny_index):
+    """``top_k`` selects with a bounded heap; that must be ``sorted(...)[:k]``
+    for every k, including where the cut falls inside a run of tied
+    scores (the constant scheme below ties every document)."""
+
+    class Flat(type(get_scheme("anysum"))):
+        name = "flat"
+
+        def omega(self, ctx, doc_id, score):
+            return 1.0 if doc_id % 3 else 2.0
+
+    for scheme in (Flat(), get_scheme("sumbest")):
+        res = Optimizer(scheme, tiny_index).optimize(parse_query("fox | dog | quick"))
+        full = execute(res.plan, make_runtime(tiny_index, scheme, res.info))
+        assert len(full) >= 5
+        assert full == sorted(full, key=lambda pair: (-pair[1], pair[0]))
+        for k in range(1, len(full) + 3):
+            top = execute(res.plan, make_runtime(tiny_index, scheme, res.info), top_k=k)
+            assert top == full[:k]
+
+
 def test_incomplete_plan_rejected(tiny_index):
     scheme = get_scheme("sumbest")
     from repro.ma.translate import matching_subplan

@@ -8,6 +8,7 @@ from repro.mcalc.scoring_plan import (
     PhiConj,
     PhiDisj,
     PhiVar,
+    compile_phi,
     derive_scoring_plan,
     fold_phi,
 )
@@ -76,6 +77,42 @@ def test_fold_mixed_tree():
         lambda l, r: f"({l}|{r})",
     )
     assert out == "(p0&(p1|p2))"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a", "a b c", "a (b | c)", "(a | b) (c | d) e", "a | (b c) | d", '"a b" (c | "d e")'],
+)
+def test_compiled_phi_makes_the_calls_fold_phi_makes(text):
+    """The closure tree is the interpreter unrolled: same combinator calls,
+    same arguments, same order, over row columns instead of a lookup."""
+    phi = phi_of(text)
+    variables = list(phi.variables())
+    # Score columns sit at scattered row indices, as after a join.
+    column = {v: 2 * i + 1 for i, v in enumerate(variables)}
+    row = tuple(f"s{i}" for i in range(2 * len(variables) + 1))
+
+    def recording(symbol, trace):
+        def combine(left, right):
+            trace.append((symbol, left, right))
+            return f"({left}{symbol}{right})"
+        return combine
+
+    interpreted: list = []
+    want = fold_phi(
+        phi, lambda v: row[column[v]],
+        recording("&", interpreted), recording("|", interpreted),
+    )
+    compiled: list = []
+    evaluate = compile_phi(
+        phi, column.__getitem__,
+        recording("&", compiled), recording("|", compiled),
+    )
+    assert evaluate(row) == want
+    assert compiled == interpreted
+    # Compiled once, evaluated per row.
+    compiled.clear()
+    assert evaluate(row) == want and compiled == interpreted
 
 
 def test_query_without_scorable_keywords_rejected():

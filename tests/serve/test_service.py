@@ -329,3 +329,28 @@ def test_explain_reports_the_current_generation_plan(tmp_path):
         await svc.stop()
 
     run(main())
+
+
+def test_search_payload_is_json_with_builtin_numbers(tmp_path):
+    """Doc ids come out of packed postings buffers and scores out of the
+    operator chain: both must reach the payload as builtin ``int`` and
+    ``float`` (a NumPy scalar would break ``json.dumps`` or change its
+    text)."""
+    import json
+
+    root = tmp_path / "store"
+    make_store(root)
+
+    async def main():
+        svc = await started(root)
+        for scheme in ("sumbest", "anysum", "lucene", "meansum"):
+            for query in ("quick fox", '"quick fox" dog', "quick | naps"):
+                payload = await svc.search(query, scheme=scheme)
+                assert payload["results"]
+                for row in payload["results"]:
+                    assert type(row["doc_id"]) is int
+                    assert type(row["score"]) is float
+                assert json.loads(json.dumps(payload)) == payload
+        await svc.stop()
+
+    run(main())
