@@ -907,7 +907,7 @@ class SearchEngine:
             store.read_manifest()
         with store.lock():
             store.checkpoint(
-                engine_payload(self.index, self.collection),
+                engine_payload(self._index, self.collection),
                 doc_count=len(self.collection),
             )
 
@@ -979,7 +979,7 @@ class SearchEngine:
                     analyzer=analyzer
                 )
                 store.checkpoint(
-                    engine_payload(engine.index, engine.collection),
+                    engine_payload(engine._index, engine.collection),
                     doc_count=len(engine.collection),
                 )
         except BaseException:
@@ -1004,7 +1004,7 @@ class SearchEngine:
         from repro.index.store import engine_payload
 
         generation = self._store.checkpoint(
-            engine_payload(self.index, self.collection),
+            engine_payload(self._index, self.collection),
             doc_count=len(self.collection),
         )
         self._generation += 1

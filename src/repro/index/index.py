@@ -54,13 +54,6 @@ class TermDocumentPostings:
         counts = np.asarray([len(o) for o in postings.offsets], dtype=np.int64)
         return cls(postings.doc_ids, counts)
 
-    def entry_index_at_or_after(self, doc_id: int, lo: int = 0) -> int:
-        if lo:
-            return int(
-                np.searchsorted(self.doc_ids[lo:], doc_id, side="left")
-            ) + lo
-        return int(np.searchsorted(self.doc_ids, doc_id, side="left"))
-
     def __len__(self) -> int:
         return len(self.doc_ids)
 

@@ -22,6 +22,12 @@ second codec, no pickling, no per-worker heap copy, and no re-encoding
 between disk, engine and workers (:func:`pack_index` of a
 :class:`PackedIndex` is its own bytes).
 
+One writer makes every blob, from the term-sorted arrays of
+:func:`repro.index.builder.flatten`: :func:`pack_documents` writes a
+collection straight from them (what a checkpoint does — no object
+index is built), and :func:`pack_index` first flattens a built index's
+postings into the same arrays.
+
 Decoding is batched, not per-entry: a term's doc ids materialize with a
 single ``np.cumsum`` over the delta array, and the per-document offset
 runs are carved from one shared positions buffer by cached run bounds.
@@ -44,11 +50,13 @@ import struct
 import zlib
 from bisect import bisect_left
 from itertools import chain
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.corpus.document import Document
 from repro.errors import IndexCorruptionError, IndexError_
+from repro.index.builder import FlatIndex, flatten
 from repro.index.index import Index, TermDocumentPostings
 from repro.index.postings import PositionPostings
 from repro.index.stats import CollectionStats
@@ -100,33 +108,17 @@ def _unpackable(values: np.ndarray) -> np.ndarray:
     return (values < 0) | (values > _U32_MAX)
 
 
-def _pack_frames(index: Index) -> Iterator[tuple[str, bytes]]:
+def _pack_frames(flat: FlatIndex) -> Iterator[tuple[str, bytes]]:
     """``(term, checksum-framed frame)`` for every term, in sorted order.
 
-    The whole index is encoded in a handful of array passes — one
-    concatenated doc-id array, one gap array, one count array, one
-    position array — and only slicing and the CRC happen per term.
+    The whole index is encoded in a handful of array passes — one gap
+    array, one count array, one position array — and only slicing and
+    the CRC happen per term.
     """
-    terms = sorted(index.terms)
-    if not terms:
-        return
-    postings = [index.terms[term] for term in terms]
-    doc_bounds = _bounds(len(p.doc_ids) for p in postings)
-    doc_ids = np.concatenate(
-        [np.asarray(p.doc_ids, dtype=np.int64) for p in postings]
-    )
-    entries = list(chain.from_iterable(p.offsets for p in postings))
-    entry_bounds = _bounds(map(len, entries))
+    terms, doc_bounds, doc_ids = flat.terms, flat.doc_bounds, flat.doc_ids
+    entry_bounds = np.zeros(len(flat.counts) + 1, dtype=np.int64)
+    np.cumsum(flat.counts, out=entry_bounds[1:])
     pos_bounds = entry_bounds[doc_bounds]
-    try:
-        positions = np.fromiter(
-            chain.from_iterable(entries), dtype=np.int64,
-            count=int(entry_bounds[-1]),
-        )
-    except OverflowError as exc:
-        raise IndexError_(
-            f"positions outside the packable range: {exc}"
-        ) from None
 
     # Gaps between consecutive doc ids; a term's first gap is its first
     # doc id, and every later one must be positive (strictly increasing).
@@ -138,10 +130,12 @@ def _pack_frames(index: Index) -> Iterator[tuple[str, bytes]]:
     outside = "outside the packable range [0, 2^32)"
     _reject(_unpackable(doc_ids), doc_bounds, terms, f"doc ids {outside}")
     _reject(unordered, doc_bounds, terms, "doc ids must be strictly increasing")
-    _reject(_unpackable(positions), pos_bounds, terms, f"positions {outside}")
+    _reject(
+        _unpackable(flat.positions), pos_bounds, terms, f"positions {outside}"
+    )
     gap_bytes, count_bytes, pos_bytes = (
         memoryview(array.astype(np.uint32)).cast("B")
-        for array in (gaps, np.diff(entry_bounds), positions)
+        for array in (gaps, flat.counts, flat.positions)
     )
     doc_cuts = (4 * doc_bounds).tolist()
     pos_cuts = (4 * pos_bounds).tolist()
@@ -159,6 +153,37 @@ def _pack_frames(index: Index) -> Iterator[tuple[str, bytes]]:
         yield term, body + _U32.pack(_crc(body))
 
 
+def _flatten_postings(index: Index) -> FlatIndex:
+    """A built index's postings objects as the arrays :func:`_pack`
+    writes (what :func:`repro.index.builder.flatten` makes from
+    documents)."""
+    terms = sorted(index.terms)
+    postings = [index.terms[term] for term in terms]
+    entries = list(chain.from_iterable(p.offsets for p in postings))
+    counts = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+    try:
+        positions = np.fromiter(
+            chain.from_iterable(entries), dtype=np.int64,
+            count=int(counts.sum()),
+        )
+    except OverflowError as exc:
+        raise IndexError_(
+            f"positions outside the packable range: {exc}"
+        ) from None
+    return FlatIndex(
+        terms=terms,
+        doc_bounds=_bounds(len(p.doc_ids) for p in postings),
+        doc_ids=np.concatenate(
+            [np.asarray(p.doc_ids, dtype=np.int64) for p in postings]
+            or [np.empty(0, dtype=np.int64)]
+        ),
+        counts=counts,
+        positions=positions,
+        doc_lengths=index.stats.doc_lengths,
+        sentence_starts=index.sentence_starts,
+    )
+
+
 def pack_index(index: "Index | PackedIndex") -> bytes:
     """Serialize ``index`` into one flat packed blob.
 
@@ -171,10 +196,23 @@ def pack_index(index: "Index | PackedIndex") -> bytes:
     """
     if isinstance(index, PackedIndex):
         return index.blob
-    stats = index.stats
-    num_docs = stats.num_docs
-    doc_lengths = np.ascontiguousarray(stats.doc_lengths, dtype=np.int64)
-    sent = index.sentence_starts
+    return _pack(_flatten_postings(index))
+
+
+def pack_documents(documents: Iterable[Document]) -> bytes:
+    """The packed blob of ``documents`` — the bytes
+    ``pack_index(build_index(documents))`` returns — written straight
+    from :func:`repro.index.builder.flatten`'s arrays, with no object
+    index in between."""
+    return _pack(flatten(documents))
+
+
+def _pack(flat: FlatIndex) -> bytes:
+    """The one blob writer behind :func:`pack_index` and
+    :func:`pack_documents`."""
+    num_docs = len(flat.doc_lengths)
+    doc_lengths = np.ascontiguousarray(flat.doc_lengths, dtype=np.int64)
+    sent = flat.sentence_starts
     if len(sent) != num_docs:
         raise IndexError_(
             f"sentence_starts covers {len(sent)} docs, stats say {num_docs}"
@@ -214,7 +252,7 @@ def pack_index(index: "Index | PackedIndex") -> bytes:
         data = array.tobytes()
         sections[name] = _append(data)
         sections_crc = _crc(data, sections_crc)
-    terms = {term: _append(frame) for term, frame in _pack_frames(index)}
+    terms = {term: _append(frame) for term, frame in _pack_frames(flat)}
 
     header = json.dumps(
         {
@@ -351,14 +389,6 @@ class PackedPositionPostings:
     @property
     def total_positions(self) -> int:
         return int(self._starts[self._hi] - self._starts[self._lo])
-
-    def entry_index_at_or_after(self, doc_id: int, lo: int = 0) -> int:
-        if lo:
-            return (
-                int(np.searchsorted(self.doc_ids[lo:], doc_id, side="left"))
-                + lo
-            )
-        return int(np.searchsorted(self.doc_ids, doc_id, side="left"))
 
     def positions_in(self, doc_id: int) -> tuple[int, ...]:
         seq = self.doc_id_seq
@@ -520,10 +550,21 @@ class PackedIndex:
         self._sentence_starts: list[tuple[int, ...]] | None = None
         self._post_cache: dict[str, PackedPositionPostings] = {}
         self._doc_cache: dict[str, TermDocumentPostings | None] = {}
-        self.doc_terms = _PackedDocTerms(self)
-        self.terms = _PackedTermsMap(self)
         if verify:
             self.verify()
+
+    # The two mapping views are made on each access, not stored: a view
+    # refers to its index, and an index holding its views would be a
+    # reference cycle that keeps the blob and every decoded frame alive
+    # after the last reader drops it, until the cyclic collector runs.
+
+    @property
+    def doc_terms(self) -> _PackedDocTerms:
+        return _PackedDocTerms(self)
+
+    @property
+    def terms(self) -> _PackedTermsMap:
+        return _PackedTermsMap(self)
 
     @property
     def blob(self) -> bytes:

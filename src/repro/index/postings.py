@@ -39,7 +39,7 @@ class PositionPostings:
             raise ValueError("doc_ids and offsets must be aligned")
         self.doc_ids = doc_ids
         self.offsets = offsets
-        self._total_positions = sum(len(o) for o in offsets)
+        self._total_positions = sum(map(len, offsets))
         self._doc_id_list: list[int] | None = None
 
     @property
@@ -59,7 +59,7 @@ class PositionPostings:
 
     @classmethod
     def from_dict(cls, by_doc: dict[int, list[int]]) -> "PositionPostings":
-        """Build from a {doc_id: [offsets]} mapping (used by the builder)."""
+        """Build from a {doc_id: [offsets]} mapping, in any order."""
         docs = sorted(by_doc)
         doc_ids = np.asarray(docs, dtype=np.int64)
         offsets = [tuple(sorted(by_doc[d])) for d in docs]
@@ -78,20 +78,6 @@ class PositionPostings:
     def total_positions(self) -> int:
         """Total occurrences of the term across the collection."""
         return self._total_positions
-
-    def entry_index_at_or_after(self, doc_id: int, lo: int = 0) -> int:
-        """Index of the first postings entry with doc >= ``doc_id``.
-
-        This is the skip-pointer seek used by zig-zag joins.  ``lo`` bounds
-        the search to ``doc_ids[lo:]`` — cursors pass their current entry
-        index so each seek is O(log tail), never re-searching entries the
-        scan has already consumed.
-        """
-        if lo:
-            return int(
-                np.searchsorted(self.doc_ids[lo:], doc_id, side="left")
-            ) + lo
-        return int(np.searchsorted(self.doc_ids, doc_id, side="left"))
 
     def positions_in(self, doc_id: int) -> tuple[int, ...]:
         """Offsets of the term in ``doc_id`` (empty tuple if absent).

@@ -62,7 +62,6 @@ class ShardView:
         "shard_id",
         "lo",
         "hi",
-        "doc_terms",
         "_pos_cache",
         "_doc_cache",
     )
@@ -72,9 +71,14 @@ class ShardView:
         self.shard_id = shard_id
         self.lo = lo
         self.hi = hi
-        self.doc_terms = _ShardDocTerms(self)
         self._pos_cache: dict[str, PositionPostings] = {}
         self._doc_cache: dict[str, TermDocumentPostings | None] = {}
+
+    @property
+    def doc_terms(self) -> _ShardDocTerms:
+        # Made on access: a stored view would be a reference cycle that
+        # keeps the base index alive until the cyclic collector runs.
+        return _ShardDocTerms(self)
 
     # -- range-restricted postings (what execution scans) -----------------
 

@@ -47,7 +47,7 @@ from repro.corpus.io import collection_from_bytes, collection_to_bytes
 from repro.errors import IndexCorruptionError, IndexError_
 from repro.index.builder import build_index
 from repro.index.index import Index
-from repro.index.packed import PackedIndex, pack_index
+from repro.index.packed import PackedIndex, pack_documents, pack_index
 from repro.index.store import fsio, wal
 from repro.index.store.faults import StoreFaultInjector
 from repro.index.store.lock import LOCK_NAME, StoreLock
@@ -411,10 +411,19 @@ class IndexStore:
 
 
 def engine_payload(index, collection) -> dict[str, bytes]:
-    """Serialize an engine's state as checkpoint files."""
+    """Serialize an engine's state as checkpoint files.
+
+    ``index`` is what the engine holds: a loaded :class:`PackedIndex`
+    writes its own bytes, a built :class:`Index` is packed, and ``None``
+    (nothing built since the last change) packs ``collection`` straight
+    from its documents — the same bytes, without building the object
+    index only to write it.
+    """
     titles = json.dumps([doc.title for doc in collection]).encode("utf-8")
     return {
-        INDEX_FILE: pack_index(index),
+        INDEX_FILE: (
+            pack_documents(collection) if index is None else pack_index(index)
+        ),
         DOCS_FILE: collection_to_bytes(collection),
         TITLES_FILE: titles,
     }

@@ -155,6 +155,34 @@ def test_packing_a_packed_index_returns_its_own_bytes(blob, packed):
     assert pack_index(PackedIndex(blob + b"\x00" * 24)) == blob
 
 
+def test_a_closed_engine_frees_its_index_without_the_cyclic_collector(
+    tmp_path, tiny_collection
+):
+    """A packed index is not in a reference cycle (its mapping views are
+    made on access), so the blob and its decoded frames go as soon as
+    the last engine holding them does — not at the next full collection."""
+    import gc
+    import weakref
+
+    from repro.api import SearchEngine
+
+    SearchEngine(tiny_collection).save(tmp_path / "s")
+    gc.collect()
+    gc.disable()
+    try:
+        engine = SearchEngine.open(tmp_path / "s")
+        assert engine.search("quick fox")
+        assert engine.index.doc_terms.get("fox") is not None
+        assert len(engine.index.terms) == len(tiny_collection.vocabulary())
+        index = weakref.ref(engine.index)
+        assert isinstance(index(), PackedIndex)
+        engine.close()
+        del engine
+        assert index() is None
+    finally:
+        gc.enable()
+
+
 def _index_of(**terms: PositionPostings) -> Index:
     return Index(
         terms, CollectionStats(np.zeros(1, dtype=np.int64)),

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.exec.engine import make_runtime
+from repro.exec.scan_ops import AtomScanOp, PreCountScanOp
+from repro.index.index import Index
 from repro.index.postings import PositionPostings
+from repro.index.stats import CollectionStats
+from repro.sa.registry import get_scheme
 
 
 @pytest.fixture
@@ -38,10 +43,22 @@ def test_term_frequency(postings):
 
 
 def test_seek_index(postings):
-    assert postings.entry_index_at_or_after(0) == 0
-    assert postings.entry_index_at_or_after(1) == 0
-    assert postings.entry_index_at_or_after(2) == 1
-    assert postings.entry_index_at_or_after(9) == 3
+    """The leaves' skip-pointer seek lands on the first entry with
+    doc >= target (doc ids 1, 5, 8)."""
+    index = Index({"t": postings}, CollectionStats(np.zeros(9, dtype=np.int64)))
+    runtime = make_runtime(index, get_scheme("sumbest"), None)
+
+    def first_doc_after_seek(leaf, target):
+        op = leaf(runtime, "p", "t")
+        op.seek_doc(target)
+        group = op.next_doc()
+        return None if group is None else group[0]
+
+    for leaf in (AtomScanOp, PreCountScanOp):
+        assert first_doc_after_seek(leaf, 0) == 1
+        assert first_doc_after_seek(leaf, 1) == 1
+        assert first_doc_after_seek(leaf, 2) == 5
+        assert first_doc_after_seek(leaf, 9) is None
 
 
 def test_empty_postings():

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.collection import DocumentCollection
+from repro.exec.engine import make_runtime
+from repro.exec.scan_ops import AtomScanOp, PreCountScanOp, ScoredPreCountScanOp
 from repro.index.builder import build_index
 from repro.index.packed import PackedIndex, pack_index
 from repro.index.postings import PositionPostings
+from repro.sa.registry import get_scheme
 
 documents = st.lists(
     st.lists(st.sampled_from("abcde"), min_size=0, max_size=15),
@@ -48,14 +51,22 @@ def test_index_agrees_with_documents(docs):
 @settings(max_examples=60, deadline=None)
 @given(docs=documents, targets=st.lists(st.integers(0, 10), max_size=5))
 def test_seek_index_is_lower_bound(docs, targets):
+    """Every leaf operator's ``seek_doc``, over object and packed
+    postings, lands on the first document >= the target."""
     col = collection_of(docs)
     index = build_index(col)
-    for term, postings in index.terms.items():
-        ids = list(postings.doc_ids)
-        for target in targets:
-            i = postings.entry_index_at_or_after(target)
-            assert all(d < target for d in ids[:i])
-            assert all(d >= target for d in ids[i:])
+    scheme = get_scheme("sumbest")
+    for substrate in (index, PackedIndex(pack_index(index))):
+        runtime = make_runtime(substrate, scheme, None)
+        for term, postings in index.terms.items():
+            ids = [int(d) for d in postings.doc_ids]
+            for target in targets:
+                want = next((d for d in ids if d >= target), None)
+                for leaf in (AtomScanOp, PreCountScanOp, ScoredPreCountScanOp):
+                    op = leaf(runtime, "p", term)
+                    op.seek_doc(target)
+                    group = op.next_doc()
+                    assert (None if group is None else group[0]) == want
 
 
 @settings(max_examples=40, deadline=None)
