@@ -10,15 +10,18 @@ Three legs:
 
 * **steady state** — generous limits, nothing shed: the service-layer
   overhead on top of raw engine execution, reported as qps with p50/p99
-  of accepted requests.  ``rows`` is the exact total result count, so
-  the exported record doubles as a service-layer correctness gate
-  (this is the same measurement ``repro bench`` records as
-  ``service_load`` for the ``--check`` regression gate).
+  of accepted requests.  ``rows`` is the exact total result count of
+  the run, recorded next to the timings.
 * **hot swap under load** — the same run with a mid-run checkpoint and
   reader generation swap: what swapping costs live traffic, with zero
   dropped requests by construction.
 * **overload** — 4x oversubscription against a single execution slot:
   how fast the service says no (shed 503s are the point, not errors).
+
+The module measures and gates nothing: the service's wall clock is
+judged by ``python -m graftbench compare`` on ``serve_small``, which
+also checks every served answer, and the paper workload's work counters
+by ``tests/bench/test_counters.py``.
 """
 
 from __future__ import annotations

@@ -3,18 +3,20 @@
 Benchmarks regenerate every table and figure of the paper's evaluation
 (Section 8).  Each module both:
 
-* registers pytest-benchmark timings (9 rounds, mirroring the paper's
-  repeat-9/average-of-5-medians methodology), and
+* registers pytest-benchmark timings (9 rounds, reduced by
+  :func:`median_seconds` to the paper's average of the five median
+  times), and
 * writes the regenerated artifact as text to ``benchmarks/results/`` so
   the harness output can be laid next to the published table or plot.
 
 Every benchmark run shares one :data:`RUN_ID`.  At session end the
 ``pytest_sessionfinish`` hook exports each module's timings as
-``BENCH_<module>.json`` in the stable history schema
-(``repro.bench.history.bench_record``: name, params, wall_ms, rows) and
-appends the same records to ``benchmarks/results/history.jsonl`` — so a
-benchmark's trajectory is joinable across runs and commits by
-(``run_id``, ``name``), and ``repro bench --check`` shares the format.
+``BENCH_<module>.json`` in the stable record schema
+(``repro.bench.history.bench_record``: name, params, wall_ms, rows).
+
+These modules measure; they gate nothing.  Wall clock is judged by
+``python -m graftbench compare`` and the paper workload's work counters
+by ``tests/bench/test_counters.py``.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import statistics
 
 import pytest
 
-from repro.bench.history import append_history, bench_record, new_run_id
+from repro.bench.history import bench_record, new_run_id
+from repro.bench.measure import paper_statistic
 from repro.bench.workload import bench_fixture
 from repro.exec.engine import execute, make_runtime
 from repro.graft.optimizer import Optimizer, OptimizerOptions
@@ -39,8 +41,6 @@ from repro.sa.registry import get_scheme
 BENCH_DOCS = int(os.environ.get("REPRO_BENCH_DOCS", "4000"))
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-HISTORY_PATH = RESULTS_DIR / "history.jsonl"
 
 #: One id per benchmark session; every record this run writes carries it.
 RUN_ID = new_run_id()
@@ -86,7 +86,9 @@ def write_artifact(name: str, text: str) -> pathlib.Path:
 
 
 def median_seconds(benchmark) -> float:
-    return benchmark.stats.stats.median
+    """The paper's statistic over the benchmark's rounds: the mean of the
+    five median times (:func:`repro.bench.measure.paper_statistic`)."""
+    return paper_statistic(benchmark.stats.stats.sorted_data)
 
 
 def write_bench_json(
@@ -104,13 +106,11 @@ def write_bench_json(
     wall_ms/rows) with the benchmark's free-form headline numbers — and
     typically a metrics-registry snapshot
     (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`) — nested under
-    ``data``.  The headline record (without ``data``) is also appended to
-    ``history.jsonl``, joinable by (run_id, name).
+    ``data``.
     """
     record = bench_record(
         name, run_id=RUN_ID, wall_ms=wall_ms, rows=rows, params=params
     )
-    append_history(record, HISTORY_PATH)
     record["data"] = payload
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
@@ -119,22 +119,18 @@ def write_bench_json(
     return path
 
 
-def _benchmark_median_seconds(meta) -> float | None:
-    """Median seconds from a pytest-benchmark metadata object, tolerating
-    both attribute layouts (fixture vs session metadata)."""
+def _benchmark_seconds(meta) -> float | None:
+    """:func:`median_seconds`' statistic from a pytest-benchmark metadata
+    object, tolerating both attribute layouts (fixture vs session
+    metadata)."""
     stats = getattr(meta, "stats", None)
-    if stats is None:
-        return None
+    stats = getattr(stats, "stats", stats)
+    times = getattr(stats, "sorted_data", None)
     # A benchmark that failed mid-round leaves empty stats; exporting
     # must not take the rest of the session's records down with it.
-    try:
-        median = getattr(stats, "median", None)
-        if median is None:
-            inner = getattr(stats, "stats", None)
-            median = getattr(inner, "median", None)
-    except statistics.StatisticsError:
+    if not times:
         return None
-    return median
+    return paper_statistic(times)
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -142,17 +138,18 @@ def pytest_sessionfinish(session, exitstatus):
 
     One ``BENCH_<module>.json`` per benchmark module, containing one
     record per test (name, params, wall_ms, rows) under this session's
-    :data:`RUN_ID`; the same records go to ``history.jsonl``.  This is
-    what makes "every benchmark writes its numbers machine-readably"
-    true without each module hand-rolling an export.
+    :data:`RUN_ID`.  This is what makes "every benchmark writes its
+    numbers machine-readably" true without each module hand-rolling an
+    export.  Its ``wall_ms`` is the same statistic as
+    :func:`median_seconds`.
     """
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not getattr(bench_session, "benchmarks", ()):
         return
     by_module: dict[str, list[dict]] = {}
     for meta in bench_session.benchmarks:
-        median = _benchmark_median_seconds(meta)
-        if median is None:
+        seconds = _benchmark_seconds(meta)
+        if seconds is None:
             continue
         fullname = getattr(meta, "fullname", "") or ""
         module = pathlib.Path(fullname.split("::", 1)[0]).stem or "unknown"
@@ -165,7 +162,7 @@ def pytest_sessionfinish(session, exitstatus):
         by_module.setdefault(module, []).append(bench_record(
             getattr(meta, "name", fullname) or fullname,
             run_id=RUN_ID,
-            wall_ms=median * 1000.0,
+            wall_ms=seconds * 1000.0,
             rows=rows,
             params=params,
         ))
@@ -173,7 +170,6 @@ def pytest_sessionfinish(session, exitstatus):
         return
     RESULTS_DIR.mkdir(exist_ok=True)
     for module, records in sorted(by_module.items()):
-        append_history(records, HISTORY_PATH)
         path = RESULTS_DIR / f"BENCH_{module}.json"
         path.write_text(json.dumps(
             {"schema": 1, "run_id": RUN_ID, "records": records},

@@ -1,18 +1,8 @@
 """Benchmark support: the paper's workload, methodology, reporting, and
-the cross-run trajectory (history + regression gate)."""
+the stable record schema of ``BENCH_*.json``."""
 
-from repro.bench.history import (
-    Regression,
-    append_history,
-    bench_record,
-    compare_to_baseline,
-    latest_run,
-    load_baseline,
-    load_history,
-    new_run_id,
-    write_baseline,
-)
-from repro.bench.measure import paper_measure
+from repro.bench.history import bench_record, new_run_id
+from repro.bench.measure import paper_statistic
 from repro.bench.workload import (
     PAPER_QUERIES,
     BenchFixture,
@@ -25,14 +15,7 @@ __all__ = [
     "BenchFixture",
     "bench_fixture",
     "default_corpus_config",
-    "paper_measure",
-    "Regression",
-    "append_history",
+    "paper_statistic",
     "bench_record",
-    "compare_to_baseline",
-    "latest_run",
-    "load_baseline",
-    "load_history",
     "new_run_id",
-    "write_baseline",
 ]

@@ -4,45 +4,33 @@
 average of the five median times.  This methodology was chosen to minimize
 the chance that a garbage collection or JIT event would occur during one
 measurement and not during another."  (For us: a CPython GC pause or a
-cache-cold first run.)
+cache-cold first run.)  The benchmarks run nine rounds; this module
+reduces them.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
-from typing import Callable
+from typing import Sequence
 
-#: The paper's parameters.
-REPEATS = 9
+from repro.errors import GraftError
+
+#: The paper's number of median times averaged.
 KEPT_MEDIANS = 5
 
 
-def paper_measure(
-    fn: Callable[[], object],
-    repeats: int = REPEATS,
-    kept: int = KEPT_MEDIANS,
-    observe: Callable[[float], object] | None = None,
-) -> float:
-    """Run ``fn`` ``repeats`` times; return the mean of the ``kept``
-    median wall-clock times, in seconds.
+def paper_statistic(times: Sequence[float]) -> float:
+    """The mean of the middle ``min(KEPT_MEDIANS, len(times))`` sorted times.
 
-    ``observe`` receives every repetition's duration (seconds) — pass a
-    metrics-registry histogram's ``observe`` so benchmark timings land
-    in the same families the engine serves (``BENCH_*.json`` exports).
+    Nine times give the paper's "average of the five median times";
+    fewer than five times are all averaged, never a tail value alone.
     """
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
-        if observe is not None:
-            observe(elapsed)
-    times.sort()
-    lo = (repeats - kept) // 2
-    middle = times[lo:lo + kept]
-    return statistics.fmean(middle)
+    if not times:
+        raise GraftError("paper_statistic needs at least one time")
+    ordered = sorted(times)
+    keep = min(KEPT_MEDIANS, len(ordered))
+    lo = (len(ordered) - keep) // 2
+    return statistics.fmean(ordered[lo:lo + keep])
 
 
 def reduction_percent(baseline: float, optimized: float) -> float:

@@ -10,7 +10,6 @@ Usage::
     python -m repro schemes                          # list scoring schemes
     python -m repro metrics [--format json|prom]     # metrics registry
     python -m repro qlog tail|stats LOG_PATH         # read a query log
-    python -m repro bench [--check] [--write-baseline]  # regression gate
     python -m repro serve INDEX_DIR [--port N]       # async query service
     python -m repro loadgen URL [options]            # drive a service
     python -m repro slow URL|FILE [-n N]             # tail-latency report
@@ -31,9 +30,9 @@ atomic generation; ``metrics`` exports this process's metrics registry.
 ``documents.jsonl``.  ``search --audit`` shadow-executes the canonical
 score-isolated plan and exits 3 on a score-consistency divergence;
 ``qlog`` tails or aggregates a structured query log written by
-:class:`repro.obs.qlog.QueryLog`; ``bench`` runs the paper workload,
-appends to ``benchmarks/results/history.jsonl``, and with ``--check``
-exits 1 when the run regresses against the checked-in baseline.
+:class:`repro.obs.qlog.QueryLog`.  Performance is not gated here: wall
+clock is judged by ``python -m graftbench compare`` and the paper
+workload's work counters by ``tests/bench/test_counters.py``.
 
 ``search``/``explain``/``verify`` take ``--json``: exactly one JSON
 object on stdout (schema for the search trace:
@@ -179,54 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="ignore rotated siblings (qlog.jsonl.N)")
     p_stats.add_argument("--json", action="store_true",
                          help="emit the aggregate as one JSON object")
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the paper-workload benchmark, append to the history "
-             "trajectory, and optionally gate against a baseline",
-    )
-    p_bench.add_argument("--check", action="store_true",
-                         help="compare this run against the baseline and "
-                              "exit non-zero on any regression")
-    p_bench.add_argument("--baseline", default="benchmarks/baseline.json",
-                         help="checked-in baseline file "
-                              "(default benchmarks/baseline.json)")
-    p_bench.add_argument("--history",
-                         default="benchmarks/results/history.jsonl",
-                         help="append-only run trajectory "
-                              "(default benchmarks/results/history.jsonl)")
-    p_bench.add_argument("--docs", type=int, default=None,
-                         help="benchmark corpus size (default: the "
-                              "baseline's, else 600)")
-    p_bench.add_argument("--scheme", default=None,
-                         help="scoring scheme (default: the baseline's, "
-                              "else sumbest)")
-    p_bench.add_argument("--repeats", type=int, default=5,
-                         help="measurement repetitions per query (default 5)")
-    p_bench.add_argument("--no-cache", action="store_true",
-                         help="run the repeated-query leg with the "
-                              "engine's plan cache disabled (measures "
-                              "what caching is worth)")
-    p_bench.add_argument("--no-parallel", action="store_true",
-                         help="skip the sharded-throughput sweep (only "
-                              "the per-query workload records)")
-    p_bench.add_argument("--no-service", action="store_true",
-                         help="skip the end-to-end service-load leg "
-                              "(HTTP service + load generator)")
-    p_bench.add_argument("--no-telemetry-overhead", action="store_true",
-                         help="skip the telemetry on/off overhead leg "
-                              "(gates the zero-overhead-when-off "
-                              "contract)")
-    p_bench.add_argument("--no-span-overhead", action="store_true",
-                         help="skip the span-export on/off overhead leg "
-                              "(gates the export-off hot path)")
-    p_bench.add_argument("--max-slowdown", type=float, default=None,
-                         help="wall-time regression tolerance as a ratio "
-                              "(default 1.5; raise on noisy shared runners)")
-    p_bench.add_argument("--write-baseline", action="store_true",
-                         help="pin this run as the new baseline file")
-    p_bench.add_argument("--json", action="store_true",
-                         help="emit one JSON object (records, regressions)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -674,113 +625,6 @@ def _cmd_qlog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.history import (
-        DEFAULT_MAX_SLOWDOWN,
-        append_history,
-        compare_to_baseline,
-        load_baseline,
-        scaling_gate,
-        write_baseline,
-    )
-    from repro.bench.runner import (
-        DEFAULT_DOCS,
-        DEFAULT_SCHEME,
-        run_parallel_throughput,
-        run_service_load,
-        run_span_overhead,
-        run_telemetry_overhead,
-        run_workload,
-    )
-
-    baseline = None
-    if args.check:
-        baseline = load_baseline(args.baseline)
-    # Default corpus size and scheme from the baseline so rows are
-    # comparable; explicit flags override (and will flag row drift).
-    base_params = (baseline or {}).get("params", {})
-    docs = args.docs if args.docs is not None else \
-        base_params.get("docs", DEFAULT_DOCS)
-    scheme = args.scheme if args.scheme is not None else \
-        base_params.get("scheme", DEFAULT_SCHEME)
-
-    run_id, records = run_workload(
-        num_docs=docs, scheme_name=scheme, repeats=args.repeats
-    )
-    if not args.no_parallel:
-        _, parallel_records = run_parallel_throughput(
-            num_docs=docs, scheme_name=scheme, repeats=args.repeats,
-            run_id=run_id, use_cache=not args.no_cache,
-        )
-        records.update(parallel_records)
-    if not args.no_service:
-        _, service_records = run_service_load(
-            num_docs=docs, scheme_name=scheme, run_id=run_id
-        )
-        records.update(service_records)
-    if not args.no_telemetry_overhead:
-        _, overhead_records = run_telemetry_overhead(
-            num_docs=docs, scheme_name=scheme, repeats=args.repeats,
-            run_id=run_id,
-        )
-        records.update(overhead_records)
-    if not args.no_span_overhead:
-        _, span_records = run_span_overhead(
-            num_docs=docs, scheme_name=scheme, repeats=args.repeats,
-            run_id=run_id,
-        )
-        records.update(span_records)
-    append_history(list(records.values()), args.history)
-
-    if args.write_baseline:
-        write_baseline(
-            args.baseline, records, params={"docs": docs, "scheme": scheme}
-        )
-
-    regressions = []
-    scaling_notes: list[str] = []
-    if baseline is not None:
-        tolerance = (
-            args.max_slowdown if args.max_slowdown is not None
-            else DEFAULT_MAX_SLOWDOWN
-        )
-        regressions = compare_to_baseline(
-            records, baseline, max_slowdown=tolerance
-        )
-        if not args.no_parallel:
-            scaling_regressions, scaling_notes = scaling_gate(records)
-            regressions = regressions + scaling_regressions
-
-    if args.json:
-        print(json.dumps({
-            "run_id": run_id,
-            "history": args.history,
-            "records": {name: rec for name, rec in sorted(records.items())},
-            "checked": args.check,
-            "scaling": scaling_notes,
-            "regressions": [r.to_dict() for r in regressions],
-        }))
-        return 1 if regressions else 0
-
-    print(f"run {run_id} ({len(records)} benchmarks, {docs} docs, "
-          f"scheme {scheme}) -> {args.history}")
-    for name, rec in sorted(records.items()):
-        print(f"  {name:24} {rec['wall_ms']:9.3f} ms  {rec['rows']:6d} rows")
-    if args.write_baseline:
-        print(f"baseline pinned -> {args.baseline}")
-    for note in scaling_notes:
-        print(f"  {note}")
-    if args.check:
-        if regressions:
-            print(f"{len(regressions)} regression(s) vs {args.baseline}:",
-                  file=sys.stderr)
-            for reg in regressions:
-                print(f"  REGRESSION: {reg.message}", file=sys.stderr)
-            return 1
-        print(f"gate OK vs {args.baseline}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -946,7 +790,6 @@ _COMMANDS = {
     "schemes": _cmd_schemes,
     "metrics": _cmd_metrics,
     "qlog": _cmd_qlog,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "top": _cmd_top,
     "loadgen": _cmd_loadgen,

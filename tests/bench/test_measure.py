@@ -2,26 +2,35 @@
 
 import pytest
 
-from repro.bench.measure import paper_measure, reduction_percent
+from repro.bench.measure import paper_statistic, reduction_percent
+from repro.errors import GraftError
 
 
-def test_paper_measure_runs_nine_times():
-    calls = []
-    paper_measure(lambda: calls.append(1))
-    assert len(calls) == 9
+def test_paper_statistic_is_mean_of_five_medians_of_nine():
+    # Shuffled 1..9: the middle five are 3, 4, 5, 6, 7 -> mean 5.
+    assert paper_statistic([9, 1, 8, 2, 7, 3, 6, 4, 5]) == pytest.approx(5.0)
+    assert paper_statistic([1, 2, 3, 4, 5, 6, 7, 8, 900]) == pytest.approx(5.0)
 
 
-def test_paper_measure_is_mean_of_middle_medians(monkeypatch):
-    times = iter([0.0, 1, 3, 5, 7, 9, 11, 13, 100, 100])
-    # perf_counter is called twice per run; feed deltas via a counter.
-    ticks = iter([0, 1, 10, 12, 20, 23, 30, 34, 40, 45, 50, 56, 60, 67,
-                  70, 78, 80, 89])
-    import repro.bench.measure as m
+@pytest.mark.parametrize(
+    "times, want",
+    [
+        ([100.0], 100.0),
+        ([2.0, 100.0], 51.0),
+        ([1.0, 2.0, 100.0], 103.0 / 3),
+        ([100.0, 2.0, 1.0], 103.0 / 3),
+    ],
+)
+def test_fewer_times_than_kept_are_all_averaged(times, want):
+    value = paper_statistic(times)
+    assert value == pytest.approx(want)
+    if len(times) > 1:
+        assert value != max(times)  # never the slowest run alone
 
-    monkeypatch.setattr(m.time, "perf_counter", lambda: next(ticks))
-    value = paper_measure(lambda: None)
-    # Durations: 1..9 ascending; middle five are 3,4,5,6,7 -> mean 5.
-    assert value == pytest.approx(5.0)
+
+def test_paper_statistic_rejects_no_times():
+    with pytest.raises(GraftError, match="at least one"):
+        paper_statistic([])
 
 
 def test_reduction_percent():
