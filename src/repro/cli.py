@@ -10,7 +10,7 @@ Usage::
     python -m repro schemes                          # list scoring schemes
     python -m repro metrics [--format json|prom]     # metrics registry
     python -m repro qlog tail|stats LOG_PATH         # read a query log
-    python -m repro serve INDEX_DIR [--port N]       # async query service
+    python -m repro serve INDEX_DIR [--port N]       # HTTP query service
     python -m repro loadgen URL [options]            # drive a service
     python -m repro slow URL|FILE [-n N]             # tail-latency report
     python -m repro top URL [--once --json]          # live ops console
@@ -182,8 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="serve a store over HTTP: /search /explain /healthz /readyz "
-             "/metrics, with admission control, load shedding, and live "
-             "generation hot-swap (docs/SERVICE.md)",
+             "/metrics, with admission control, load shedding, live "
+             "generation hot-swap, and one server process per core "
+             "(docs/SERVICE.md)",
     )
     p_serve.add_argument("index_dir", help="store directory to serve "
                                            "(created if missing)")
@@ -626,9 +627,7 @@ def _cmd_qlog(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.serve import ServiceConfig, run_server
+    from repro.serve import QueryService, ServiceConfig, run_server
 
     config = ServiceConfig(
         host=args.host,
@@ -655,8 +654,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         spans_path=args.spans_path,
         spans_capacity=args.spans_capacity,
     )
-    asyncio.run(run_server(args.index_dir, config))
-    return 0
+    return run_server(QueryService(args.index_dir, config))
 
 
 def _cmd_top(args: argparse.Namespace) -> int:

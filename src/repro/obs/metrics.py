@@ -11,6 +11,11 @@ been detected.  This module supplies the registry those families live in
 * :meth:`MetricsRegistry.to_prometheus_text` — the Prometheus text
   exposition format (version 0.0.4), scrape-ready.
 
+A server running several processes serves one registry per process;
+:func:`merge_snapshots` adds their snapshots into the one a single
+registry fed every observation would give, and :func:`prometheus_text`
+renders it.
+
 Metric model
 ------------
 A *family* has a name, a kind (``counter``/``gauge``/``histogram``), a
@@ -35,6 +40,7 @@ construct their own :class:`MetricsRegistry` or call
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 import time
@@ -281,39 +287,84 @@ class MetricsRegistry:
 
     def to_prometheus_text(self) -> str:
         """Prometheus text exposition format (0.0.4)."""
-        lines: list[str] = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for key, child in family.samples():
-                labels = dict(zip(family.labelnames, key))
-                if isinstance(child, Histogram):
-                    cumulative = 0
-                    for bound, n in zip(child.buckets, child.counts):
-                        cumulative = n
-                        bucket_labels = dict(labels, le=_format_value(bound))
-                        lines.append(
-                            f"{family.name}_bucket{_labelset(bucket_labels)} "
-                            f"{cumulative}"
-                        )
+        return prometheus_text(self.snapshot())
+
+
+def prometheus_text(snapshot: dict) -> str:
+    """Render a :meth:`MetricsRegistry.snapshot` (or a merge of several)
+    in the Prometheus text exposition format (0.0.4)."""
+    lines: list[str] = []
+    for name in sorted(snapshot):
+        family = snapshot[name]
+        if family["help"]:
+            lines.append(f"# HELP {name} {_escape_help(family['help'])}")
+        lines.append(f"# TYPE {name} {family['kind']}")
+        for sample in family["samples"]:
+            labels = sample["labels"]
+            if family["kind"] == "histogram":
+                for bound, n in sample["buckets"].items():
+                    le = _format_value(float(bound))
                     lines.append(
-                        f"{family.name}_bucket"
-                        f"{_labelset(dict(labels, le='+Inf'))} {child.count}"
+                        f"{name}_bucket{_labelset(dict(labels, le=le))} {n}"
                     )
-                    lines.append(
-                        f"{family.name}_sum{_labelset(labels)} "
-                        f"{_format_value(child.sum)}"
-                    )
-                    lines.append(
-                        f"{family.name}_count{_labelset(labels)} {child.count}"
-                    )
+                lines.append(
+                    f"{name}_bucket{_labelset(dict(labels, le='+Inf'))} "
+                    f"{sample['count']}"
+                )
+                lines.append(
+                    f"{name}_sum{_labelset(labels)} "
+                    f"{_format_value(sample['sum'])}"
+                )
+                lines.append(
+                    f"{name}_count{_labelset(labels)} {sample['count']}"
+                )
+            else:
+                value = _format_value(sample["value"])
+                lines.append(f"{name}{_labelset(labels)} {value}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def merge_snapshots(snapshots: list[dict]) -> dict:
+    """One snapshot equal to a registry fed every observation of the
+    registries that produced ``snapshots`` (one per server process).
+
+    Counters, gauges, histogram buckets, ``_sum`` and ``_count`` add per
+    label set; a family declared differently in two snapshots is an
+    error, not a guess.
+    """
+    merged: dict = {}
+    for snapshot in snapshots:
+        for name, family in snapshot.items():
+            into = merged.setdefault(name, {
+                "kind": family["kind"], "help": family["help"], "samples": {},
+            })
+            if into["kind"] != family["kind"]:
+                raise GraftError(
+                    f"metric {name} is a {into['kind']} in one snapshot and "
+                    f"a {family['kind']} in another"
+                )
+            for sample in family["samples"]:
+                key = tuple(sample["labels"].values())
+                have = into["samples"].get(key)
+                if have is None:
+                    into["samples"][key] = copy.deepcopy(sample)
+                elif "value" in sample:
+                    have["value"] += sample["value"]
                 else:
-                    lines.append(
-                        f"{family.name}{_labelset(labels)} "
-                        f"{_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
+                    if have["buckets"].keys() != sample["buckets"].keys():
+                        raise GraftError(
+                            f"histogram {name} has different buckets in two "
+                            f"snapshots"
+                        )
+                    have["count"] += sample["count"]
+                    have["sum"] += sample["sum"]
+                    for bound, n in sample["buckets"].items():
+                        have["buckets"][bound] += n
+    for family in merged.values():
+        family["samples"] = [
+            family["samples"][key] for key in sorted(family["samples"])
+        ]
+    return merged
 
 
 def _labelset(labels: dict[str, str]) -> str:

@@ -48,6 +48,8 @@ __all__ = [
     "span",
     "attribute_phases",
     "render_attribution",
+    "summarize",
+    "merge_status_summaries",
 ]
 
 # The fixed per-request phase timeline, in the order the request moves
@@ -505,39 +507,47 @@ class RollingStats:
             if len(self._samples) > self.max_samples:
                 del self._samples[: len(self._samples) - self.max_samples]
 
-    def summary(self) -> dict[str, Any]:
-        now = self._clock()
-        horizon = now - self.window_s
+    def samples(self) -> list[tuple[float, float, int]]:
+        """The (time, wall_ms, status) samples inside the window."""
+        horizon = self._clock() - self.window_s
         with self._lock:
             self._samples = [s for s in self._samples if s[0] >= horizon]
-            samples = list(self._samples)
-        total = len(samples)
-        ok = [w for (_, w, s) in samples if 200 <= s < 300]
-        shed = sum(1 for (_, _, s) in samples if s == 503)
-        timeout = sum(1 for (_, _, s) in samples if s == 504)
-        client_err = sum(1 for (_, _, s) in samples if 400 <= s < 500)
-        server_err = sum(
-            1 for (_, _, s) in samples if s >= 500 and s not in (503, 504)
-        )
-        latency = {
-            "p50": round(percentile(ok, 0.50), 3) if ok else None,
-            "p95": round(percentile(ok, 0.95), 3) if ok else None,
-            "p99": round(percentile(ok, 0.99), 3) if ok else None,
-        }
-        return {
-            "window_s": self.window_s,
-            "requests": total,
-            "ok": len(ok),
-            "shed": shed,
-            "timeout": timeout,
-            "client_error": client_err,
-            "server_error": server_err,
-            "shed_rate": round(shed / total, 4) if total else 0.0,
-            "error_rate": round(
-                (server_err + timeout) / total, 4
-            ) if total else 0.0,
-            "latency_ms": latency,
-        }
+            return list(self._samples)
+
+    def summary(self) -> dict[str, Any]:
+        return summarize(self.samples(), self.window_s)
+
+
+def summarize(samples, window_s: float) -> dict[str, Any]:
+    """Percentiles and outcome rates over (time, wall_ms, status) samples
+    — one process's window, or the union of several processes' windows."""
+    total = len(samples)
+    ok = [w for (_, w, s) in samples if 200 <= s < 300]
+    shed = sum(1 for (_, _, s) in samples if s == 503)
+    timeout = sum(1 for (_, _, s) in samples if s == 504)
+    client_err = sum(1 for (_, _, s) in samples if 400 <= s < 500)
+    server_err = sum(
+        1 for (_, _, s) in samples if s >= 500 and s not in (503, 504)
+    )
+    latency = {
+        "p50": round(percentile(ok, 0.50), 3) if ok else None,
+        "p95": round(percentile(ok, 0.95), 3) if ok else None,
+        "p99": round(percentile(ok, 0.99), 3) if ok else None,
+    }
+    return {
+        "window_s": window_s,
+        "requests": total,
+        "ok": len(ok),
+        "shed": shed,
+        "timeout": timeout,
+        "client_error": client_err,
+        "server_error": server_err,
+        "shed_rate": round(shed / total, 4) if total else 0.0,
+        "error_rate": round(
+            (server_err + timeout) / total, 4
+        ) if total else 0.0,
+        "latency_ms": latency,
+    }
 
 
 class TelemetryHub:
@@ -610,11 +620,30 @@ class TelemetryHub:
         return views
 
     def status_summary(self) -> dict[str, Any]:
-        summary = self.rolling.summary()
-        summary["inflight"] = len(self._inflight)
-        summary["slow_captured"] = len(self.slow)
-        summary["slow_offered"] = self.slow.offered
-        return summary
+        return merge_status_summaries([self.export()])
+
+    def export(self) -> dict[str, Any]:
+        """What :func:`merge_status_summaries` needs from this hub: the
+        raw rolling samples, not their percentiles, which do not add."""
+        return {
+            "window_s": self.rolling.window_s,
+            "samples": self.rolling.samples(),
+            "inflight": len(self._inflight),
+            "slow_captured": len(self.slow),
+            "slow_offered": self.slow.offered,
+        }
+
+
+def merge_status_summaries(exports: list[dict[str, Any]]) -> dict[str, Any]:
+    """The ``/status.telemetry`` summary of several hubs (one per server
+    process): percentiles recomputed over the union of their samples,
+    counts added."""
+    summary = summarize(
+        [s for e in exports for s in e["samples"]], exports[0]["window_s"]
+    )
+    for key in ("inflight", "slow_captured", "slow_offered"):
+        summary[key] = sum(e[key] for e in exports)
+    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ circuit breaker that degrades to a known-good serial path on integrity
 failures.  Every request carries a correlation id (``X-Request-Id``)
 through a per-request telemetry context (:mod:`repro.obs.telemetry`)
 feeding ``/debug/requests``, ``/debug/slow``, and the ``/status``
-latency summary.
+latency summary.  ``repro serve`` runs one server process per core
+(:mod:`repro.serve.supervisor`).
 """
 
 from repro.serve.admission import (
@@ -25,8 +26,9 @@ from repro.serve.loadgen import (
     run_loadgen,
 )
 from repro.obs.telemetry import TelemetryHub, new_request_id
-from repro.serve.server import HttpServer, run_server
+from repro.serve.server import HttpServer
 from repro.serve.service import GenerationHandle, QueryService, WriterDead
+from repro.serve.supervisor import run_server
 
 __all__ = [
     "AdmissionController",

@@ -7,7 +7,8 @@ tests exercise the exact dashboard an operator sees without a socket,
 and ``--once --json`` emits the raw snapshot for scripting and CI.
 
 What the screen answers, top to bottom: is the service ready and on
-which generation; how much traffic is in flight / queued / shed; where
+which generation; which server processes serve it, and how much each
+has served; how much traffic is in flight / queued / shed; where
 the rolling latency percentiles sit; how each SLO's error budget is
 doing (with a burn-down bar per objective); and whether the caches and
 shards are earning their keep.
@@ -44,7 +45,8 @@ def _fetch(base: str, path: str, timeout_s: float) -> dict[str, Any] | None:
 
 
 def poll(base: str, timeout_s: float = 5.0) -> dict[str, Any]:
-    """One console snapshot: status + SLO report + metrics.
+    """One console snapshot: status + SLO report + metrics, with the
+    status's per-process rows also under ``processes``.
 
     ``slo`` is None when the service has no objectives configured (the
     endpoint answers 503) — the dashboard renders the section as absent
@@ -58,6 +60,7 @@ def poll(base: str, timeout_s: float = 5.0) -> dict[str, Any]:
         "polled_at": time.time(),
         "url": base,
         "status": status,
+        "processes": status.get("processes", []),
         "slo": _fetch(base, "/debug/slo", timeout_s),
         "metrics": _fetch(base, "/metrics?format=json", timeout_s) or {},
     }
@@ -118,6 +121,18 @@ def render(snapshot: dict[str, Any], *, color: bool = True) -> str:
         f"timeouts={status.get('admission_timeouts', 0):<6} "
         f"swaps={status.get('swaps', 0)}"
     )
+
+    for proc in snapshot.get("processes", []):
+        state = "" if proc.get("alive", True) else "  " + _paint(
+            "GONE", _RED, color
+        )
+        lines.append(
+            f"process   pid={str(proc.get('pid')):<7} "
+            f"role={proc.get('role', '?'):<6} "
+            f"gen={proc.get('generation')} "
+            f"inflight={proc.get('inflight', 0):<4} "
+            f"requests={proc.get('requests', 0)}{state}"
+        )
 
     telem = status.get("telemetry")
     if telem:

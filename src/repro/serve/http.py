@@ -62,6 +62,8 @@ class Request:
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
     version: str = "HTTP/1.1"
+    #: The request-target as sent (path plus query string).
+    target: str = ""
 
     @property
     def keep_alive(self) -> bool:
@@ -181,7 +183,50 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
         headers=headers,
         body=body,
         version=version,
+        target=target,
     )
+
+
+async def read_response(
+    reader: asyncio.StreamReader,
+) -> tuple[int, dict[str, str], bytes]:
+    """Read one response off the stream: (status, headers, body), header
+    names lowercased.  The client side of :func:`response_bytes`."""
+    status_line = await reader.readline()
+    if not status_line:
+        raise ConnectionError("server closed the connection")
+    parts = status_line.decode("latin-1").split(" ", 2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise HttpError(502, f"malformed status line {status_line!r}")
+    headers: dict[str, str] = {}
+    while True:
+        line = (await reader.readline()).decode("latin-1").strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", "0"))
+    body = await reader.readexactly(length) if length else b""
+    return int(parts[1]), headers, body
+
+
+def request_bytes(
+    method: str,
+    target: str,
+    *,
+    headers: dict[str, str] | None = None,
+    body: bytes = b"",
+    keep_alive: bool = True,
+) -> bytes:
+    """Serialize one complete HTTP/1.1 request."""
+    lines = [
+        f"{method} {target} HTTP/1.1",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 def response_bytes(

@@ -31,7 +31,7 @@ from repro.bench.workload import PAPER_QUERIES
 # sorted-interpolated version (also used by qlog stats and the SLO
 # engine), re-exported here for the existing import surface.
 from repro.obs.telemetry import percentile  # noqa: F401
-from repro.serve.http import HttpError
+from repro.serve.http import HttpError, read_response, request_bytes
 
 #: The paper's workload (Q4..Q11) — same queries the benchmark runs, so
 #: a loadgen pass over the bench fixture produces deterministic rows.
@@ -164,34 +164,12 @@ class _Client:
         headers: dict[str, str] | None = None,
     ) -> tuple[int, dict, dict[str, str]]:
         assert self.reader is not None and self.writer is not None
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in (headers or {}).items()
-        )
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            f"Connection: keep-alive\r\n\r\n"
-        )
-        self.writer.write(head.encode("latin-1") + body)
+        self.writer.write(request_bytes(
+            method, path, body=body,
+            headers={"Host": f"{self.host}:{self.port}", **(headers or {})},
+        ))
         await self.writer.drain()
-        status_line = await self.reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed the connection")
-        parts = status_line.decode("latin-1").split(" ", 2)
-        if len(parts) < 2:
-            raise HttpError(502, f"malformed status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = (await self.reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        raw = await self.reader.readexactly(length) if length else b""
+        status, headers, raw = await read_response(self.reader)
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except ValueError:

@@ -20,6 +20,11 @@ process (docs/SERVICE.md):
   refcount drains, its store pin is released and the old generation
   becomes garbage.
 
+A server running several processes (:mod:`repro.serve.supervisor`)
+keeps one full service in the parent and, in each forked child, a
+copy turned :meth:`QueryService.reader_only`, whose pins the parent
+holds.
+
 The writer is *expendable* by design: if it dies mid-checkpoint (chaos
 harness, real crash), readers keep serving the last durable generation
 and :meth:`QueryService.revive_writer` reopens the store — which
@@ -234,6 +239,16 @@ class QueryService:
             )
         self.started = False
         self.draining = False
+        #: "writer" (owns the writer and a reader) or "reader" (a forked
+        #: server process that only reads; :meth:`reader_only`).
+        self.role = "writer"
+        #: Reader generations this process loaded itself.
+        self.loads = 0
+        self._pin = self._pin_locally
+        #: ``async callable(generation)`` run under the swap lock after
+        #: this process swapped its readers: the supervisor swaps the
+        #: other server processes' readers there.
+        self.after_swap = None
         self._writer: SearchEngine | None = None
         self._writer_fault: BaseException | None = None
         self._wal_since_checkpoint = 0
@@ -251,17 +266,45 @@ class QueryService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> None:
-        """Open the writer, load the first reader generation, go ready."""
-        loop = asyncio.get_running_loop()
-        self._writer = await loop.run_in_executor(
-            self._writer_executor, self._open_writer
-        )
-        handle = await loop.run_in_executor(
-            self._search_executor, self._build_handle
-        )
-        self.readers.swap(handle)
+    def open(self) -> None:
+        """Open the writer, load the first reader generation, go ready.
+
+        Blocking and thread-free, so a server can call it before it
+        forks its reader processes (:mod:`repro.serve.supervisor`).
+        """
+        self._writer = self._open_writer()
+        self.readers.swap(self._build_handle())
         self.started = True
+
+    async def start(self) -> None:
+        """:meth:`open` off the event loop."""
+        await asyncio.get_running_loop().run_in_executor(
+            self._writer_executor, self.open
+        )
+
+    def reader_only(self, pin) -> None:
+        """Turn this service into a reader of a store another process
+        writes: a forked server process keeps the inherited reader and
+        serves searches, and never touches the writer.
+
+        ``pin(generation)`` pins a generation on the writer's side and
+        returns the callable that releases that pin; every handle this
+        service holds, the inherited one included, releases through it.
+        """
+        self.role = "reader"
+        self.loads = 0  # the reader it holds was loaded by the writer
+        self._writer = None
+        self._pin = pin
+        handle = self.readers.current
+        handle.release_pin = pin(handle.generation)
+
+    def _pin_locally(self, generation: str):
+        """Pin ``generation`` in this process; returns the release."""
+        from repro.index.store import IndexStore
+
+        store = IndexStore(self.store_dir)
+        store.pin_generation(generation)
+        return lambda: store.release_generation(generation)
 
     def _open_writer(self) -> SearchEngine:
         from repro.index.store import IndexStore
@@ -277,9 +320,8 @@ class QueryService:
 
     def _build_handle(self) -> GenerationHandle:
         """Load, shard-configure, pre-build and pin one reader."""
-        from repro.index.store import IndexStore
-
         engine = SearchEngine.load(self.store_dir, analyzer=self.analyzer)
+        self.loads += 1
         if self.config.shards is not None:
             engine.shards = self.config.shards
         if self.config.executor is not None:
@@ -303,17 +345,22 @@ class QueryService:
             engine.qlog = self._qlog
             serial.qlog = self._qlog
         generation = engine.loaded_generation
-        release = None
-        if generation is not None:
-            pin_store = IndexStore(self.store_dir)
-            pin_store.pin_generation(generation)
-            release = lambda: pin_store.release_generation(generation)
         return GenerationHandle(
             engine=engine,
             serial_engine=serial,
             generation=generation,
-            release_pin=release,
+            release_pin=(
+                self._pin(generation) if generation is not None else None
+            ),
         )
+
+    async def load_and_swap(self) -> GenerationHandle | None:
+        """Load the store's current generation off the request path and
+        swap it in; returns the retired handle."""
+        handle = await asyncio.get_running_loop().run_in_executor(
+            self._search_executor, self._build_handle
+        )
+        return self.readers.swap(handle)
 
     async def stop(self) -> None:
         """Release the writer lock and retire the readers."""
@@ -609,10 +656,9 @@ class QueryService:
                     503, f"writer crashed during checkpoint: {exc}"
                 ) from exc
             self._wal_since_checkpoint = 0
-            handle = await loop.run_in_executor(
-                self._search_executor, self._build_handle
-            )
-            old = self.readers.swap(handle)
+            old = await self.load_and_swap()
+            if self.after_swap is not None:
+                await self.after_swap(generation)
             elapsed = time.monotonic() - swap_started
             generation_swaps(self.registry).child().inc()
             swap_seconds(self.registry).child().observe(elapsed)

@@ -4,6 +4,7 @@ engine- and store-level recording hooks."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import SearchEngine
 from repro.errors import GraftError
@@ -11,6 +12,8 @@ from repro.exec.iterator import ExecutionMetrics
 from repro.obs.metrics import (
     REGISTRY,
     MetricsRegistry,
+    merge_snapshots,
+    prometheus_text,
     record_execution_metrics,
 )
 
@@ -229,3 +232,55 @@ def _counter_value(name: str) -> float:
     except GraftError:
         return 0.0
     return sum(child.value for _, child in fam.samples())
+
+
+# -- merging per-process snapshots -------------------------------------------
+
+OBSERVATIONS = st.lists(
+    st.tuples(
+        st.integers(0, 3),                          # which registry
+        st.sampled_from(["counter", "gauge", "histogram"]),
+        st.sampled_from(["/search", "/status"]),    # label value
+        st.integers(-400, 4000),                    # value * 8
+    ),
+    max_size=60,
+)
+
+
+def _feed(registry, kind, label, raw):
+    # Multiples of 1/8 add exactly in any order, so "equal" is ==.
+    value = raw / 8
+    if kind == "counter":
+        registry.counter("t_total", "c", ("route",)).labels(
+            route=label).inc(abs(value))
+    elif kind == "gauge":
+        registry.gauge("t_inflight", "g", ("route",)).labels(
+            route=label).inc(value)
+    else:
+        registry.histogram(
+            "t_seconds", "h", ("route",), buckets=(0.0, 1.0, 100.0)
+        ).labels(route=label).observe(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(OBSERVATIONS, st.integers(1, 4))
+def test_merged_snapshots_equal_one_registry_fed_every_observation(
+    observations, k
+):
+    parts = [MetricsRegistry() for _ in range(k)]
+    whole = MetricsRegistry()
+    for index, kind, label, raw in observations:
+        _feed(parts[index % k], kind, label, raw)
+        _feed(whole, kind, label, raw)
+    merged = merge_snapshots([part.snapshot() for part in parts])
+    assert merged == whole.snapshot()
+    # Counters, gauges, and histogram buckets, _sum, _count and +Inf.
+    assert prometheus_text(merged) == whole.to_prometheus_text()
+
+
+def test_merging_refuses_one_name_with_two_kinds(registry):
+    other = MetricsRegistry()
+    registry.counter("t_total").child().inc()
+    other.gauge("t_total").child().set(1)
+    with pytest.raises(GraftError, match="counter in one snapshot"):
+        merge_snapshots([registry.snapshot(), other.snapshot()])

@@ -16,6 +16,9 @@ After every crash:
   checkpoint and swap work end to end and the store passes a full
   ``verify()``.
 
+The last case repeats the crash behind two server processes: a forked
+child keeps serving while the parent's writer is down.
+
 Slow/poisoned queries ride along: one request in each inflight batch
 carries a tiny deadline (exercising partial/timeout semantics under
 crash pressure) and must degrade or time out cleanly, never 500.
@@ -24,6 +27,7 @@ crash pressure) and must degrade or time out cleanly, never 500.
 from __future__ import annotations
 
 import asyncio
+import json
 import pathlib
 import shutil
 import tempfile
@@ -39,6 +43,7 @@ from repro.index.store import (
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import QueryService, ServiceConfig
 from repro.serve.http import HttpError
+from tests.serve.servers import ServeProcesses, connections, served_by
 
 BASE_TEXTS = [
     "the quick brown fox jumps over the lazy dog",
@@ -186,3 +191,74 @@ def test_writer_killed_at_crash_point_never_tears_a_reader(
         await svc.stop()
 
     asyncio.run(main())
+
+
+def test_writer_killed_mid_checkpoint_while_a_child_process_serves(tmp_path):
+    """The same crash behind two server processes: the forked child keeps
+    answering from the last durable generation while the parent's writer
+    is down, and revival plus a checkpoint moves every process on."""
+    point, occurrence = next(
+        (p, k) for p, k in SCHEDULE if "MANIFEST" in p and "rename" in p
+    )
+    root = tmp_path / "store"
+    build_base(root)
+    faults = {"crash_at": point, "crash_on_hit": occurrence}
+    with ServeProcesses(root, processes=2, faults=faults,
+                        max_inflight=4, max_queue=8,
+                        deadline_ms=5000.0) as server:
+
+        async def main():
+            clients = await connections(server.port, 2)
+            pids = [await served_by(client) for client in clients]
+            child = clients[[p != server.pid for p in pids].index(True)]
+            code, reference, _ = await child.request("/search?q=quick+fox")
+            old_generation = reference["generation"]
+            code, _, _ = await child.request(
+                "/add", method="POST",
+                body=json.dumps({"text": NEW_TEXT, "title": "doc3"}).encode(),
+            )
+            assert code == 202
+            searches = [
+                asyncio.ensure_future(c.request("/search?q=quick+fox"))
+                for c in clients
+            ]
+            (side,) = await connections(server.port, 1)
+            code, body, _ = await side.request(
+                "/admin/checkpoint", method="POST"
+            )
+            assert code == 503, body
+            for code, payload, _ in await asyncio.gather(*searches):
+                assert code == 200
+                assert payload["generation"] == old_generation
+                assert payload["results"] == reference["results"]
+
+            # The writer is down; the child still answers, unchanged.
+            code, after, _ = await child.request("/search?q=quick+fox")
+            assert code == 200 and after["results"] == reference["results"]
+            _, status, _ = await child.request("/status")
+            assert status["writer_alive"] is False and status["ready"]
+            assert {row["generation"] for row in status["processes"]} == {
+                old_generation
+            }
+
+            code, revived, _ = await child.request(
+                "/admin/revive", method="POST"
+            )
+            assert code == 200 and revived["revived"] is True
+            code, swap, _ = await child.request(
+                "/admin/checkpoint", method="POST"
+            )
+            assert code == 200
+            _, status, _ = await child.request("/status")
+            assert [row["generation"] for row in status["processes"]] == [
+                swap["generation"], swap["generation"]
+            ]
+            _, fresh, _ = await child.request("/search?q=fresh+wal")
+            assert any(r["title"] == "doc3" for r in fresh["results"])
+            for client in (*clients, side):
+                await client.close()
+
+        asyncio.run(main())
+        code, out = server.stop()
+    assert code == 0, out
+    assert IndexStore.open(root).verify()["wal_torn_bytes"] == 0

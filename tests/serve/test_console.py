@@ -16,6 +16,15 @@ from repro.serve import console
 from repro.serve.console import _bar, render, run_top
 
 
+PROCESSES = [
+    {"pid": 4100, "role": "writer", "generation": 3, "inflight": 1,
+     "requests": 812},
+    {"pid": 4101, "role": "reader", "generation": 3, "inflight": 1,
+     "requests": 790, "alive": True},
+    {"pid": 4102, "role": "reader", "alive": False, "exit_code": -9},
+]
+
+
 def snapshot(**overrides) -> dict:
     base = {
         "polled_at": 0.0,
@@ -44,6 +53,7 @@ def snapshot(**overrides) -> dict:
             "spans": {"ring": 17, "capacity": 256, "written": None},
         },
         "slo": None,
+        "processes": PROCESSES,
         "metrics": {
             "graft_plan_cache_hits_total": {
                 "kind": "counter", "help": "",
@@ -96,6 +106,28 @@ def test_render_headline_and_traffic():
     assert "ring=17/256" in screen
 
 
+def test_render_one_line_per_server_process():
+    lines = render(snapshot(), color=False).splitlines()
+    procs = [line for line in lines if line.startswith("process")]
+    assert len(procs) == 3
+    assert "pid=4100" in procs[0] and "role=writer" in procs[0]
+    assert "requests=812" in procs[0] and "inflight=1" in procs[0]
+    assert "pid=4101" in procs[1] and "gen=3" in procs[1]
+    assert "GONE" in procs[2] and "GONE" not in procs[1]
+
+
+def test_poll_lifts_the_process_rows_out_of_status(monkeypatch):
+    status = snapshot()["status"]
+    status["processes"] = PROCESSES
+    monkeypatch.setattr(
+        console, "_fetch",
+        lambda base, path, timeout_s: status if path == "/status" else None,
+    )
+    polled = console.poll("http://h:1")
+    assert polled["processes"] == PROCESSES
+    assert polled["status"]["processes"] == PROCESSES
+
+
 def test_render_not_ready_and_missing_sections():
     snap = snapshot()
     snap["status"]["ready"] = False
@@ -146,6 +178,7 @@ def test_run_top_once_json_emits_the_raw_snapshot(monkeypatch):
     parsed = json.loads(out.getvalue())
     assert parsed["status"]["generation"] == 3
     assert parsed["slo"]["breaching"] is True
+    assert [p["pid"] for p in parsed["processes"]] == [4100, 4101, 4102]
 
 
 def test_run_top_iterations_bound_the_loop(monkeypatch):

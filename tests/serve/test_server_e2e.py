@@ -11,7 +11,9 @@ import asyncio
 import json
 import os
 import pathlib
+import random
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -21,6 +23,7 @@ import pytest
 from repro.api import SearchEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import HttpServer, QueryService, ServiceConfig
+from repro.serve.http import read_response, request_bytes
 from repro.serve.loadgen import _Client, run_loadgen
 
 TEXTS = [
@@ -228,6 +231,72 @@ def test_graceful_drain_waits_for_inflight_requests(tmp_path):
     asyncio.run(main())
 
 
+def test_a_request_sent_just_before_the_drain_gets_a_503_not_a_reset(
+    tmp_path,
+):
+    root = tmp_path / "store"
+    make_store(root)
+
+    async def main():
+        server = await start_server(root)
+        reader, writer = await asyncio.open_connection(
+            server.host, server.port
+        )
+        try:
+            writer.write(request_bytes("GET", "/healthz"))
+            status, _, _ = await read_response(reader)
+            assert status == 200
+            # The connection is idle; the next request reaches the
+            # server's socket before its loop has read it, and the drain
+            # begins first.
+            writer.write(request_bytes("GET", "/search?q=quick"))
+            stop = server.shutdown()
+            answer = await read_response(reader)
+            await stop
+        finally:
+            writer.close()
+        return answer
+
+    status, headers, body = asyncio.run(main())
+    assert (status, headers["connection"]) == (503, "close")
+    assert json.loads(body)["error"] == "service is draining"
+
+
+@pytest.mark.parametrize("host", ["localhost", ""])
+def test_the_server_listens_on_every_address_of_its_host(tmp_path, host):
+    """``localhost`` may resolve to ::1 and 127.0.0.1, and ``''`` means
+    every interface: a client on the loopback address of each family
+    the host resolves to gets through."""
+    root = tmp_path / "store"
+    make_store(root)
+    loopback = {"0.0.0.0": "127.0.0.1", "::": "::1"}
+    addresses = {
+        loopback.get(info[4][0], info[4][0])
+        for info in socket.getaddrinfo(
+            host or None, 0, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE,
+        )
+    }
+
+    async def main():
+        server = await start_server(root, ServiceConfig(host=host))
+        seen = []
+        try:
+            for address in sorted(addresses):
+                client = _Client(address, server.port)
+                try:
+                    status, _, _ = await client.request("/healthz")
+                finally:
+                    await client.close()
+                seen.append((address, status))
+        finally:
+            await server.stop()
+        return seen
+
+    seen = asyncio.run(main())
+    assert seen and all(status == 200 for _, status in seen), seen
+
+
 def test_cli_serve_subprocess_sigterm_drains_cleanly(tmp_path):
     root = tmp_path / "store"
     make_store(root)
@@ -260,3 +329,70 @@ def test_cli_serve_subprocess_sigterm_drains_cleanly(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+
+
+def test_metric_labels_are_route_templates_not_raw_paths(tmp_path):
+    """Every 404 path and every trace id shares one label value, so no
+    client can grow the registry (or a merged /metrics) without bound."""
+    root = tmp_path / "store"
+    make_store(root)
+    rng = random.Random(7)
+
+    def token() -> str:
+        return "".join(rng.choice("abcdefghjkmnpqrstvwxyz0123456789")
+                       for _ in range(12))
+
+    async def main():
+        server = await start_server(root)
+        client = _Client(server.host, server.port)
+        try:
+            for _ in range(500):
+                status, _, _ = await client.request(f"/{token()}/{token()}")
+                assert status == 404
+            for _ in range(500):
+                status, _, _ = await client.request(f"/debug/trace/{token()}")
+                assert status == 503  # span export is off
+            status, _, _ = await client.request("/search", method="POST")
+            assert status == 405
+        finally:
+            await client.close()
+            await server.stop()
+        return server.registry
+
+    registry = asyncio.run(main())
+    counted = {key for key, _ in registry.get(
+        "graft_http_requests_total").samples()}
+    timed = {key for key, _ in registry.get(
+        "graft_http_request_seconds").samples()}
+    assert counted == {
+        ("(unmatched)", "404"), ("(unmatched)", "405"),
+        ("/debug/trace/{id}", "503"),
+    }
+    assert timed == {("(unmatched)",), ("/debug/trace/{id}",)}
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1"])
+def test_a_non_finite_or_non_positive_deadline_is_a_client_error(
+    tmp_path, raw
+):
+    root = tmp_path / "store"
+    make_store(root)
+
+    async def main():
+        server = await start_server(root)
+        client = _Client(server.host, server.port)
+        try:
+            status, body, _ = await client.request(
+                f"/search?q=quick&deadline_ms={raw}"
+            )
+            _, info, _ = await client.request("/status")
+        finally:
+            await client.close()
+            await server.stop()
+        return status, body, info
+
+    status, body, info = asyncio.run(main())
+    assert status == 400 and "deadline_ms" in body["error"]
+    assert info["telemetry"]["client_error"] == 1
+    assert info["telemetry"]["timeout"] == 0
+    assert info["admission_timeouts"] == 0 and info["admitted"] == 0
