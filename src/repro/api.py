@@ -50,7 +50,6 @@ from repro.graft.canonical import make_query_info
 from repro.graft.explain import explain as explain_plan
 from repro.graft.optimizer import Optimizer, OptimizerOptions
 from repro.index.builder import build_index
-from repro.index.index import Index
 from repro.ma.match_table import MatchTable
 from repro.ma.translate import matching_subplan
 from repro.mcalc.ast import Query
@@ -136,7 +135,9 @@ class SearchOutcome:
 class SearchEngine:
     """Full-text search engine with generic, plug-in scoring.
 
-    The engine owns a document collection and (lazily built) index.  Every
+    The engine owns a document collection and its index: one
+    :class:`repro.index.packed.PackedIndex`, loaded from a store
+    generation or built from the collection on first use.  Every
     ``search`` call picks a scoring scheme — by registry name or as a
     :class:`repro.sa.ScoringScheme` instance — and the optimizer tailors
     the plan to that scheme's declared properties, guaranteeing the scores
@@ -191,9 +192,10 @@ class SearchEngine:
         self.collection = (
             collection if collection is not None else DocumentCollection(analyzer)
         )
-        #: What ``add`` invalidates: the builder's object index, or the
-        #: packed blob a store generation was loaded as.
-        self._index: "Index | PackedIndex | None" = None
+        #: What ``add`` invalidates: the packed index, built from the
+        #: collection, loaded from a store generation, or the one a
+        #: checkpoint just wrote.
+        self._index: "PackedIndex | None" = None
         self._ctx_override = scoring_context
         self._store: "IndexStore | None" = None
         self._lock: "StoreLock | None" = None
@@ -214,7 +216,7 @@ class SearchEngine:
         #: ``_sharded``).  ``_proc_unavailable`` latches a failed pool
         #: start so unavailable environments pay the probe only once.
         self._procpool = None
-        self._procpool_base: "Index | PackedIndex | None" = None
+        self._procpool_base: "PackedIndex | None" = None
         self._proc_unavailable = False
         self.cache_config = cache if cache is not None else CacheConfig()
         self._plan_cache = LRUCache(self.cache_config.plan_capacity)
@@ -255,9 +257,10 @@ class SearchEngine:
         return [self.add(text) for text in texts]
 
     @property
-    def index(self) -> "Index | PackedIndex":
-        """The index: as loaded from a store generation, else built from
-        the collection on first use and after any mutation."""
+    def index(self) -> "PackedIndex":
+        """The index: as loaded from or last written to a store
+        generation, else built from the collection on first use and
+        after any mutation."""
         if self._index is None:
             self._index = build_index(self.collection)
         return self._index
@@ -900,16 +903,13 @@ class SearchEngine:
         ):
             self.checkpoint()
             return
-        from repro.index.store import IndexStore, engine_payload
+        from repro.index.store import IndexStore
 
         store = IndexStore(directory)
         if IndexStore.is_store(directory):
             store.read_manifest()
         with store.lock():
-            store.checkpoint(
-                engine_payload(self._index, self.collection),
-                doc_count=len(self.collection),
-            )
+            self._write_generation(store)
 
     @classmethod
     def load(cls, directory, analyzer: Analyzer | None = None) -> "SearchEngine":
@@ -964,7 +964,7 @@ class SearchEngine:
                 re-use their saved tokens).
             faults: Crash-point injector (robustness testing only).
         """
-        from repro.index.store import IndexStore, engine_payload
+        from repro.index.store import IndexStore
 
         store = IndexStore(directory, faults=faults)
         lock = store.lock().acquire()
@@ -978,10 +978,7 @@ class SearchEngine:
                 engine = cls._load_documents(directory, analyzer) or cls(
                     analyzer=analyzer
                 )
-                store.checkpoint(
-                    engine_payload(engine._index, engine.collection),
-                    doc_count=len(engine.collection),
-                )
+                engine._write_generation(store)
         except BaseException:
             lock.release()
             raise
@@ -1001,14 +998,23 @@ class SearchEngine:
                 "checkpoint() requires an engine opened on a store; use "
                 "SearchEngine.open(directory) or save(directory)"
             )
-        from repro.index.store import engine_payload
-
-        generation = self._store.checkpoint(
-            engine_payload(self._index, self.collection),
-            doc_count=len(self.collection),
-        )
+        generation = self._write_generation(self._store)
         self._generation += 1
         self._loaded_generation = generation
+        return generation
+
+    def _write_generation(self, store: "IndexStore") -> str:
+        """Checkpoint this engine's state into ``store``; returns the new
+        generation name.  An engine with no index built since its last
+        change serves the ``index.pk`` bytes just written from then on,
+        so its next search does not pack the documents again."""
+        from repro.index.packed import PackedIndex
+        from repro.index.store import INDEX_FILE, engine_payload
+
+        files = engine_payload(self._index, self.collection)
+        generation = store.checkpoint(files, doc_count=len(self.collection))
+        if self._index is None:
+            self._index = PackedIndex(files[INDEX_FILE])
         return generation
 
     def close(self) -> None:

@@ -23,7 +23,7 @@ from repro.baselines.rigid import (
     decompose_rigid,
     phrase_occurs,
 )
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.mcalc.ast import Query
 from repro.sa.context import IndexScoringContext, ScoringContext
 from repro.sa.weighting import Weigher, bm25_weigher
@@ -32,7 +32,7 @@ from repro.sa.weighting import Weigher, bm25_weigher
 class LuceneLikeEngine:
     """Rigid engine with hard-coded SumBest + sloppy-proximity scoring."""
 
-    def __init__(self, index: Index, ctx: ScoringContext | None = None):
+    def __init__(self, index: PackedIndex, ctx: ScoringContext | None = None):
         self.index = index
         self.ctx = ctx if ctx is not None else IndexScoringContext(index)
 

@@ -17,7 +17,7 @@ from repro.baselines.rigid import (
     min_span,
     phrase_occurs,
 )
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.mcalc.ast import Query
 from repro.sa.context import IndexScoringContext, ScoringContext
 from repro.sa.weighting import bm25_weigher
@@ -26,7 +26,7 @@ from repro.sa.weighting import bm25_weigher
 class TerrierLikeEngine:
     """Rigid engine with hard-coded AnySum (DFR-style) scoring."""
 
-    def __init__(self, index: Index, ctx: ScoringContext | None = None):
+    def __init__(self, index: PackedIndex, ctx: ScoringContext | None = None):
         self.index = index
         self.ctx = ctx if ctx is not None else IndexScoringContext(index)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from repro.corpus.collection import DocumentCollection
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.index.builder import build_index
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.mcalc.ast import Query
 from repro.mcalc.parser import parse_query
 
@@ -46,7 +46,7 @@ class BenchFixture:
     """A built benchmark environment: corpus, index, parsed queries."""
 
     collection: DocumentCollection
-    index: Index
+    index: PackedIndex
     queries: dict[str, Query]
 
     @property

@@ -53,7 +53,7 @@ from repro.exec.limits import QueryLimits
 from repro.exec.parallel import run_plan
 from repro.graft.explain import explain as explain_plan
 from repro.graft.optimizer import Optimizer
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.mcalc.parser import parse_query
 from repro.sa.registry import available_schemes, get_scheme
 
@@ -342,7 +342,7 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load(args: argparse.Namespace) -> tuple[Index, list[str]]:
+def _load(args: argparse.Namespace) -> tuple[PackedIndex, list[str]]:
     """Load the index and titles from a store or a pre-store directory.
 
     A missing title list degrades output (results show bare doc ids), so
@@ -374,7 +374,7 @@ def _load(args: argparse.Namespace) -> tuple[Index, list[str]]:
     return engine.index, [doc.title for doc in engine.collection]
 
 
-def _optimize(args: argparse.Namespace, index: Index):
+def _optimize(args: argparse.Namespace, index: PackedIndex):
     scheme = get_scheme(args.scheme)
     query = parse_query(args.query, SimpleAnalyzer())
     optimizer = Optimizer(scheme, index)

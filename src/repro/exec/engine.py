@@ -21,7 +21,7 @@ from repro.exec.iterator import PhysicalOp, Runtime, pull_doc
 from repro.exec.limits import QueryGuard, QueryLimits
 from repro.graft.canonical import QueryInfo
 from repro.graft.plan import validate_plan
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.ma.nodes import PlanNode
 from repro.sa.context import IndexScoringContext, ScoringContext
 from repro.sa.scheme import ScoringScheme
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 
 def make_runtime(
-    index: Index,
+    index: PackedIndex,
     scheme: ScoringScheme,
     info: QueryInfo,
     ctx: ScoringContext | None = None,

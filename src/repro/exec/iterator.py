@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.errors import ExecutionError, GraftError
 from repro.exec.limits import QueryGuard
 from repro.graft.canonical import QueryInfo
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.sa.context import ScoringContext
 from repro.sa.scheme import ScoringScheme
 
@@ -107,7 +107,7 @@ class Runtime:
     a fault injector for robustness testing and an execution tracer for
     per-operator profiling (:mod:`repro.obs.trace`)."""
 
-    index: Index
+    index: PackedIndex
     ctx: ScoringContext
     scheme: ScoringScheme
     info: QueryInfo

@@ -84,7 +84,7 @@ from repro.sa.scheme import ScoringScheme
 if TYPE_CHECKING:
     from repro.exec.faults import FaultInjector
     from repro.exec.procpool import ProcessShardPool
-    from repro.index.index import Index
+    from repro.index.packed import PackedIndex
     from repro.obs.trace import TraceNode
 
 #: Guard-trip name used when a sibling shard's failure cancels this one.
@@ -299,7 +299,7 @@ def run_shard(
     """
     tracer = _tracer(task.profile)
     runtime = Runtime(
-        index=shard,  # type: ignore[arg-type]  # Index-shaped view
+        index=shard,  # type: ignore[arg-type]  # PackedIndex-shaped view
         ctx=ctx,
         scheme=task.scheme,
         info=task.info,
@@ -520,7 +520,7 @@ def _run_on_processes(
 
 
 def run_plan(
-    index: "Index",
+    index: "PackedIndex",
     plan: PlanNode,
     scheme: ScoringScheme,
     info: QueryInfo,

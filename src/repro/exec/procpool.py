@@ -6,9 +6,9 @@ this repo's own benchmark).  This module gives the one shard driver
 (:func:`repro.exec.parallel.run_shards`) real OS processes — no shared
 GIL — without pickling the index:
 
-1. :class:`SharedIndexPublication` copies one packed blob
-   (:func:`repro.index.packed.pack_index` — for an engine loaded from a
-   store, the ``index.pk`` bytes it already serves from) into a
+1. :class:`SharedIndexPublication` copies one packed blob (the bytes
+   the engine's :class:`repro.index.packed.PackedIndex` already serves
+   from) into a
    ``multiprocessing.shared_memory`` segment.  The blob is sealed: a
    publication is created per index generation and never mutated.
 2. Workers attach by name, wrap the buffer in a zero-copy
@@ -50,7 +50,6 @@ import pickle
 import weakref
 from concurrent.futures import Future
 
-from repro.errors import GraftError
 from repro.exec.limits import QueryLimits
 from repro.exec.parallel import (
     ParallelResult,
@@ -61,6 +60,7 @@ from repro.exec.parallel import (
     run_shards,
 )
 from repro.graft.canonical import QueryInfo
+from repro.index.packed import PackedIndex
 from repro.index.shard import ShardedIndex, ShardView
 from repro.ma.nodes import PlanNode
 from repro.sa.scheme import ScoringScheme
@@ -130,7 +130,6 @@ def _attach(name: str, untrack: bool, num_shards: int) -> tuple:
     if _ATTACHED is None or _ATTACHED[0] != name:
         from multiprocessing import shared_memory
 
-        from repro.index.packed import PackedIndex
         from repro.sa.context import IndexScoringContext
 
         shm = shared_memory.SharedMemory(name=name)
@@ -268,22 +267,14 @@ def default_worker_count(num_shards: int) -> int:
     return max(1, min(num_shards, schedulable_cores()))
 
 
-def start_pool(index, num_shards: int) -> ProcessShardPool:
+def start_pool(index: PackedIndex, num_shards: int) -> ProcessShardPool:
     """Publish ``index``'s packed blob, start the workers.
 
-    The blob is the one a loaded engine already holds; an index built
-    in memory is packed here, once.  Raises
-    :class:`ProcPoolUnavailableError` when packing, publishing or
+    Raises :class:`ProcPoolUnavailableError` when publishing or
     starting workers cannot be done here.
     """
-    from repro.index.packed import pack_index
-
-    try:
-        blob = pack_index(index)
-    except GraftError as exc:
-        raise ProcPoolUnavailableError(f"cannot pack index: {exc}") from exc
     return ProcessShardPool(
-        blob, num_shards, max_workers=default_worker_count(num_shards)
+        index.blob, num_shards, max_workers=default_worker_count(num_shards)
     )
 
 

@@ -7,9 +7,9 @@ index, paying one unit per document — the physical source of the
 pre-counting speedup of Section 5.2.3.  :class:`ScoredPreCountScanOp` is
 the fused eager-aggregation leaf.
 
-Cursors bisect the substrate's ``doc_id_seq`` — a plain Python list for
-object postings, a zero-copy buffer view for packed postings
-(:mod:`repro.index.packed`).  Either way a seek happens once per
+Cursors bisect the postings' ``doc_id_seq`` — a plain Python list for
+position postings, a zero-copy buffer view for term-document postings
+(:mod:`repro.index.postings`).  Either way a seek happens once per
 zig-zag probe and indexing yields Python ints, several times cheaper
 per call than NumPy searchsorted at these access patterns.
 """

@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 from repro.errors import GraftError, OptimizationError, ResourceExhaustedError
 from repro.exec.limits import QueryGuard
 from repro.graft.validity import optimization_allowed
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.mcalc.ast import And, Has, Or, Query
 from repro.sa.context import IndexScoringContext, ScoringContext
 from repro.sa.scheme import ScoringScheme
@@ -72,7 +72,7 @@ def _structure(query: Query) -> tuple[str, list[str]] | None:
 
 
 def _column_stream(
-    index: Index,
+    index: PackedIndex,
     ctx: ScoringContext,
     scheme: ScoringScheme,
     var: str,
@@ -192,7 +192,7 @@ class _RankUnion:
 def rank_topk(
     query: Query,
     scheme: ScoringScheme,
-    index: Index,
+    index: PackedIndex,
     k: int,
     ctx: ScoringContext | None = None,
     guard: QueryGuard | None = None,

@@ -32,7 +32,7 @@ from repro.graft.plan import (
     GroupScore,
     ScoreInit,
 )
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.ma.nodes import (
     AntiJoin,
     Atom,
@@ -82,7 +82,7 @@ def predicate_selectivity(pred: Pred, avg_doc_length: float) -> float:
     return 0.2
 
 
-def estimate(node: PlanNode, index: Index) -> PlanEstimate:
+def estimate(node: PlanNode, index: PackedIndex) -> PlanEstimate:
     """Estimate output size and cost of ``node`` over ``index``."""
     n_docs = max(index.num_docs, 1)
     avg_len = index.stats.avg_doc_length
@@ -184,7 +184,7 @@ def estimate(node: PlanNode, index: Index) -> PlanEstimate:
     raise TypeError(f"cannot estimate {type(node).__name__}")
 
 
-def explain_with_costs(plan: PlanNode, index: Index, indent: str = "  ") -> str:
+def explain_with_costs(plan: PlanNode, index: PackedIndex, indent: str = "  ") -> str:
     """The plan tree annotated with per-subplan estimates."""
     lines: list[str] = []
 
@@ -202,7 +202,7 @@ def explain_with_costs(plan: PlanNode, index: Index, indent: str = "  ") -> str:
 
 
 def best_join_order(
-    parts: list[PlanNode], index: Index, max_exhaustive: int = 6
+    parts: list[PlanNode], index: PackedIndex, max_exhaustive: int = 6
 ) -> list[PlanNode]:
     """Cost-based ordering of a predicate-free join chain.
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.ma.nodes import PlanNode
 
 
-def explain(plan: PlanNode, indent: str = "  ", index: Index | None = None) -> str:
+def explain(plan: PlanNode, indent: str = "  ", index: PackedIndex | None = None) -> str:
     """Render a plan as an indented operator tree, root first.
 
     With an ``index``, every line is padded to a common width and

@@ -36,7 +36,7 @@ from repro.graft.rules import (
     countable_vars,
 )
 from repro.graft.validity import optimization_allowed, requirement_text
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.ma.nodes import PlanNode, Sort
 from repro.ma.translate import matching_subplan
 from repro.mcalc.ast import Query
@@ -91,7 +91,7 @@ class Optimizer:
     def __init__(
         self,
         scheme: ScoringScheme,
-        index: Index | None = None,
+        index: PackedIndex | None = None,
         options: OptimizerOptions | None = None,
     ):
         self.scheme = scheme

@@ -16,7 +16,7 @@ the matching subplan.
 from __future__ import annotations
 
 from repro.graft.rules.base import map_plan
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.ma.nodes import (
     Atom,
     Join,
@@ -26,7 +26,7 @@ from repro.ma.nodes import (
 )
 
 
-def _estimate(node: PlanNode, index: Index) -> int:
+def _estimate(node: PlanNode, index: PackedIndex) -> int:
     """Rough output cardinality driver: the most selective atom below."""
     estimates: list[int] = []
     for sub in node.walk():
@@ -42,7 +42,7 @@ def _estimate(node: PlanNode, index: Index) -> int:
 
 
 def apply_join_reordering(
-    plan: PlanNode, index: Index, cost_based: bool = False
+    plan: PlanNode, index: PackedIndex, cost_based: bool = False
 ) -> PlanNode:
     """Reorder predicate-free join chains, cheapest subtree first.
 

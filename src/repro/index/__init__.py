@@ -5,16 +5,16 @@ The paper's Atomic Match Factory ``A`` abstracts a scan of the
 much smaller *term-document* index ("a logical subset of the term-position
 index", Section 5.2.3).  Both scans are ordered by document id and support
 seeking forward (the skip pointers that make zig-zag joins effective).
+One class, :class:`PackedIndex`, holds both views of every term.
 """
 
-from repro.index.builder import IndexBuilder, build_index
-from repro.index.index import Index
+from repro.index.builder import build_index
+from repro.index.packed import PackedIndex
 from repro.index.postings import PositionPostings
 from repro.index.stats import CollectionStats
 
 __all__ = [
-    "Index",
-    "IndexBuilder",
+    "PackedIndex",
     "build_index",
     "PositionPostings",
     "CollectionStats",

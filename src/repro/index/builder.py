@@ -1,25 +1,26 @@
 """Index construction from a document collection.
 
 Documents become an index one way: :func:`flatten` turns the whole
-collection into term-sorted arrays in a handful of NumPy passes, and
-both consumers cut what they need from those arrays — :func:`build_index`
-the object :class:`Index` the executor scans, and
-:func:`repro.index.packed.pack_documents` the packed blob a checkpoint
-writes, without building the object index first.
+collection into term-sorted arrays in a handful of NumPy passes,
+:func:`repro.index.packed.pack_documents` writes the packed blob from
+those arrays (what a checkpoint does), and :func:`build_index` serves
+that blob as the one index class,
+:class:`repro.index.packed.PackedIndex`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
 from repro.corpus.document import Document
-from repro.index.index import Index, TermDocumentPostings
-from repro.index.postings import PositionPostings
-from repro.index.stats import CollectionStats
+from repro.errors import IndexError_
+
+if TYPE_CHECKING:
+    from repro.index.packed import PackedIndex
 
 
 class FlatIndex(NamedTuple):
@@ -47,8 +48,17 @@ def flatten(documents: Iterable[Document]) -> FlatIndex:
     one stable argsort by the term's rank in sorted order brings every
     term's tokens together while keeping them in (document, offset)
     order; run boundaries of (term, document) then mark the entries.
+
+    Raises :class:`repro.errors.IndexError_` unless the documents' ids
+    are ``0, 1, 2, ...`` in order: a document's id is its position.
     """
     docs = list(documents)
+    for expected, doc in enumerate(docs):
+        if doc.doc_id != expected:
+            raise IndexError_(
+                f"documents must be in dense id order; expected "
+                f"{expected}, got {doc.doc_id}"
+            )
     token_seqs = [doc.tokens for doc in docs]
     doc_lengths = np.fromiter(map(len, token_seqs), np.int64, len(docs))
     n = int(doc_lengths.sum())
@@ -91,57 +101,9 @@ def flatten(documents: Iterable[Document]) -> FlatIndex:
     )
 
 
-def build_index(collection: Iterable[Document]) -> Index:
-    """Build an :class:`Index` over every document in ``collection``.
+def build_index(collection: Iterable[Document]) -> "PackedIndex":
+    """The index over every document in ``collection``: the packed blob
+    a checkpoint would write for them, served as it is."""
+    from repro.index.packed import PackedIndex, pack_documents
 
-    Each term's postings are array slices of one :func:`flatten`; its
-    offsets are tuples of builtin ints cut from one ``tolist``, and its
-    term-document counts are the flattened count slice.
-    """
-    flat = flatten(collection)
-    positions = flat.positions.tolist()
-    cuts = [0, *np.cumsum(flat.counts).tolist()]
-    # Most entries hold one position; those share one tuple per offset.
-    singles = [(p,) for p in range(int(flat.doc_lengths.max(initial=0)))]
-    offsets = [
-        singles[positions[a]] if b - a == 1 else tuple(positions[a:b])
-        for a, b in zip(cuts, cuts[1:])
-    ]
-    bounds = flat.doc_bounds.tolist()
-    # Constructed empty, so the term-document view is not recounted from
-    # the offsets: both views are filled from the same slices.
-    index = Index({}, CollectionStats(flat.doc_lengths), flat.sentence_starts)
-    for term, a, b in zip(flat.terms, bounds, bounds[1:]):
-        doc_ids = flat.doc_ids[a:b]
-        index.terms[term] = PositionPostings(doc_ids, offsets[a:b])
-        index.doc_terms[term] = TermDocumentPostings(doc_ids, flat.counts[a:b])
-    return index
-
-
-class IndexBuilder:
-    """Collects documents for one :func:`build_index`.
-
-    Documents must arrive in dense ascending id order (guaranteed when
-    building from a :class:`DocumentCollection`).
-    """
-
-    def __init__(self):
-        self._docs: list[Document] = []
-
-    def add_document(
-        self,
-        doc_id: int,
-        tokens: tuple[str, ...],
-        sentence_starts: tuple[int, ...] = (),
-    ) -> None:
-        if doc_id != len(self._docs):
-            raise ValueError(
-                f"documents must be added in dense id order; expected "
-                f"{len(self._docs)}, got {doc_id}"
-            )
-        self._docs.append(
-            Document(doc_id, tuple(tokens), sentence_starts=tuple(sentence_starts))
-        )
-
-    def build(self) -> Index:
-        return build_index(self._docs)
+    return PackedIndex(pack_documents(collection))

@@ -1,9 +1,6 @@
-"""Packed postings: the one index format — persisted, served, shared.
+"""Packed postings: the one index format — built, persisted, served, shared.
 
-The object substrate (:mod:`repro.index.postings`) stores one Python
-object per term with per-document offset tuples — what the builder
-produces after an ``add``, and nothing else.  Everything that outlives
-the builder is **one flat byte blob** in the layout this module owns:
+Every index is **one flat byte blob** in the layout this module owns:
 
 * a checksum-framed header (magic, version, JSON term directory);
 * three statistics sections (document lengths, sentence-start counts
@@ -13,34 +10,31 @@ the builder is **one flat byte blob** in the layout this module owns:
   absolute positions — each frame carrying its own CRC32, mirroring
   the WAL's torn-vs-corrupt framing (:mod:`repro.index.store.wal`).
 
-The blob is the store's index file (``index.pk`` in every generation,
+The blob is what :func:`repro.index.builder.build_index` makes of a
+collection, the store's index file (``index.pk`` in every generation,
 :mod:`repro.index.store`), what a loaded engine serves queries from,
 and — because it is position-independent bytes — what a sealed
 generation publishes into ``multiprocessing.shared_memory`` for every
 worker process to attach read-only (:mod:`repro.exec.procpool`): no
 second codec, no pickling, no per-worker heap copy, and no re-encoding
-between disk, engine and workers (:func:`pack_index` of a
+between builder, disk, engine and workers (:func:`pack_index` of a
 :class:`PackedIndex` is its own bytes).
 
-One writer makes every blob, from the term-sorted arrays of
-:func:`repro.index.builder.flatten`: :func:`pack_documents` writes a
-collection straight from them (what a checkpoint does — no object
-index is built), and :func:`pack_index` first flattens a built index's
-postings into the same arrays.
+One writer makes every blob: :func:`pack_documents` encodes the
+term-sorted arrays of :func:`repro.index.builder.flatten`.
 
-Decoding is batched, not per-entry: a term's doc ids materialize with a
-single ``np.cumsum`` over the delta array, and the per-document offset
-runs are carved from one shared positions buffer by cached run bounds.
-Doc ids exist **once** per attached process (the cumsum output); scan
-cursors bisect a ``memoryview`` of that array directly instead of
-building Python lists or dicts per term.
+:class:`PackedIndex` is the one index class.  It serves plan execution
+and scoring (``postings``, ``doc_terms``, ``stats``,
+``sentence_starts_of``, the statistics lookups) through
+:class:`repro.index.postings.PositionPostings` and
+:class:`repro.index.postings.TermDocumentPostings`, decoded from a term's
+frame on its first use: the doc ids materialize with a single
+``np.cumsum`` over the delta array, and the offset tuples are cut from
+one ``tolist`` of the frame's positions.
 
-:class:`PackedIndex` quacks like :class:`repro.index.index.Index` for
-plan execution and scoring (``postings``, ``doc_terms``, ``stats``,
-``sentence_starts_of``, the statistics lookups), so the optimizer, the
-physical operators and :class:`repro.index.shard.ShardView` run on it
-unchanged — scores are bit-identical to the object substrate by
-construction, which the hypothesis suite asserts.
+All measurements in the paper are taken with index entries cached in RAM
+("no measured times include disk access", Section 8), so an in-memory
+index reproduces the paper's physical setting faithfully.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from bisect import bisect_left
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
@@ -57,8 +50,11 @@ import numpy as np
 from repro.corpus.document import Document
 from repro.errors import IndexCorruptionError, IndexError_
 from repro.index.builder import FlatIndex, flatten
-from repro.index.index import Index, TermDocumentPostings
-from repro.index.postings import PositionPostings
+from repro.index.postings import (
+    EMPTY_POSTINGS,
+    PositionPostings,
+    TermDocumentPostings,
+)
 from repro.index.stats import CollectionStats
 
 #: Leading magic of a packed index blob.
@@ -71,8 +67,6 @@ _FRAME_HEAD = struct.Struct("<IIQ")
 _FRAME_MAGIC = 0x31464B50  # b"PKF1" little-endian
 _U32 = struct.Struct("<I")
 _U32_MAX = 2**32 - 1
-
-_EMPTY_POSTINGS = PositionPostings.empty()
 
 
 def _crc(data, value: int = 0) -> int:
@@ -153,63 +147,27 @@ def _pack_frames(flat: FlatIndex) -> Iterator[tuple[str, bytes]]:
         yield term, body + _U32.pack(_crc(body))
 
 
-def _flatten_postings(index: Index) -> FlatIndex:
-    """A built index's postings objects as the arrays :func:`_pack`
-    writes (what :func:`repro.index.builder.flatten` makes from
-    documents)."""
-    terms = sorted(index.terms)
-    postings = [index.terms[term] for term in terms]
-    entries = list(chain.from_iterable(p.offsets for p in postings))
-    counts = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
-    try:
-        positions = np.fromiter(
-            chain.from_iterable(entries), dtype=np.int64,
-            count=int(counts.sum()),
-        )
-    except OverflowError as exc:
-        raise IndexError_(
-            f"positions outside the packable range: {exc}"
-        ) from None
-    return FlatIndex(
-        terms=terms,
-        doc_bounds=_bounds(len(p.doc_ids) for p in postings),
-        doc_ids=np.concatenate(
-            [np.asarray(p.doc_ids, dtype=np.int64) for p in postings]
-            or [np.empty(0, dtype=np.int64)]
-        ),
-        counts=counts,
-        positions=positions,
-        doc_lengths=index.stats.doc_lengths,
-        sentence_starts=index.sentence_starts,
-    )
-
-
-def pack_index(index: "Index | PackedIndex") -> bytes:
-    """Serialize ``index`` into one flat packed blob.
-
-    The blob is self-describing and position-independent: header
-    (magic + version + JSON directory + CRC), then 8-aligned payload
-    sections.  Raises :class:`repro.errors.IndexError_` when a value
-    does not fit the fixed-width layout (doc ids / positions >= 2^32).
-    A :class:`PackedIndex` already is its blob: those bytes are returned
-    as they are, nothing is re-encoded.
-    """
-    if isinstance(index, PackedIndex):
-        return index.blob
-    return _pack(_flatten_postings(index))
+def pack_index(index: PackedIndex) -> bytes:
+    """The packed blob of ``index``: the bytes it was opened over, as
+    they are (an index already is its blob; nothing is re-encoded)."""
+    return index.blob
 
 
 def pack_documents(documents: Iterable[Document]) -> bytes:
-    """The packed blob of ``documents`` — the bytes
-    ``pack_index(build_index(documents))`` returns — written straight
-    from :func:`repro.index.builder.flatten`'s arrays, with no object
-    index in between."""
+    """The packed blob of ``documents``, encoded from
+    :func:`repro.index.builder.flatten`'s arrays.
+
+    The blob is self-describing and position-independent: header
+    (magic + version + JSON directory + CRC), then 8-aligned payload
+    sections.  Raises :class:`repro.errors.IndexError_` when the ids
+    are not dense and ascending, or a value does not fit the
+    fixed-width layout (offsets >= 2^32).
+    """
     return _pack(flatten(documents))
 
 
 def _pack(flat: FlatIndex) -> bytes:
-    """The one blob writer behind :func:`pack_index` and
-    :func:`pack_documents`."""
+    """The one blob writer: ``flat``'s arrays as a packed blob."""
     num_docs = len(flat.doc_lengths)
     doc_lengths = np.ascontiguousarray(flat.doc_lengths, dtype=np.int64)
     sent = flat.sentence_starts
@@ -277,154 +235,19 @@ def _pack(flat: FlatIndex) -> bytes:
 # -- decoded views ------------------------------------------------------------
 
 
-class _LazyPositionList:
-    """The positions buffer and its run bounds as Python lists,
-    materialized once and shared by a term's postings and every
-    doc-range slice of it (offset tuples are built by slicing these
-    lists — batch ``tolist`` beats per-int conversion by a wide margin)."""
+class _SingleTuples(dict):
+    """``offset -> (offset,)``, made on first lookup: one tuple per
+    offset, shared by every single-position entry of an index."""
 
-    __slots__ = ("_arr", "_starts", "_lists")
-
-    def __init__(self, arr: np.ndarray, starts: np.ndarray):
-        self._arr = arr
-        self._starts = starts
-        self._lists: tuple[list[int], list[int]] | None = None
-
-    def lists(self) -> tuple[list[int], list[int]]:
-        """``(positions, run bounds)``: run ``j`` is
-        ``positions[bounds[j]:bounds[j + 1]]``."""
-        if self._lists is None:
-            self._lists = (self._arr.tolist(), self._starts.tolist())
-        return self._lists
-
-
-class _PackedOffsets:
-    """``offsets[i]`` view over the shared positions buffer: run ``i``
-    of the owning (possibly sliced) postings as a tuple."""
-
-    __slots__ = ("_shared", "_lo", "_n")
-
-    def __init__(self, shared: _LazyPositionList, lo: int, n: int):
-        self._shared = shared
-        self._lo = lo
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(i)
-        j = self._lo + i
-        positions, bounds = self._shared.lists()
-        return tuple(positions[bounds[j] : bounds[j + 1]])
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for i in range(self._n):
-            yield self[i]
-
-
-class PackedPositionPostings:
-    """Decoded postings of one term frame, or a doc-range slice of one.
-
-    Quacks like :class:`repro.index.postings.PositionPostings`.  All
-    instances carved from the same frame share the decoded doc-id array,
-    the run-bound array and the (lazy) position list — a slice is two
-    integers and a view, never a copy.
-    """
-
-    __slots__ = (
-        "_all_doc_ids",
-        "_starts",
-        "_counts",
-        "_shared",
-        "_lo",
-        "_hi",
-        "doc_ids",
-        "_seq",
-        "_off",
-    )
-
-    def __init__(
-        self,
-        all_doc_ids: np.ndarray,
-        starts: np.ndarray,
-        counts: np.ndarray,
-        shared: _LazyPositionList,
-        lo: int,
-        hi: int,
-    ):
-        self._all_doc_ids = all_doc_ids
-        self._starts = starts
-        self._counts = counts
-        self._shared = shared
-        self._lo = lo
-        self._hi = hi
-        self.doc_ids = all_doc_ids[lo:hi]
-        self._seq: memoryview | None = None
-        self._off: _PackedOffsets | None = None
-
-    @property
-    def doc_id_seq(self) -> memoryview:
-        """Doc ids as a zero-copy buffer scan cursors bisect directly —
-        indexing yields Python ints, no per-term list is built."""
-        if self._seq is None:
-            self._seq = memoryview(self.doc_ids)
-        return self._seq
-
-    @property
-    def offsets(self) -> _PackedOffsets:
-        if self._off is None:
-            self._off = _PackedOffsets(
-                self._shared, self._lo, self._hi - self._lo
-            )
-        return self._off
-
-    @property
-    def document_frequency(self) -> int:
-        return self._hi - self._lo
-
-    @property
-    def total_positions(self) -> int:
-        return int(self._starts[self._hi] - self._starts[self._lo])
-
-    def positions_in(self, doc_id: int) -> tuple[int, ...]:
-        seq = self.doc_id_seq
-        i = bisect_left(seq, doc_id)
-        if i < len(seq) and seq[i] == doc_id:
-            return self.offsets[i]
-        return ()
-
-    def term_frequency(self, doc_id: int) -> int:
-        seq = self.doc_id_seq
-        i = bisect_left(seq, doc_id)
-        if i < len(seq) and seq[i] == doc_id:
-            j = self._lo + i
-            return int(self._starts[j + 1] - self._starts[j])
-        return 0
-
-    def sliced(self, a: int, b: int) -> "PackedPositionPostings":
-        """The ``[a, b)`` entry range as a zero-copy slice (used by
-        :class:`repro.index.shard.ShardView`)."""
-        return PackedPositionPostings(
-            self._all_doc_ids,
-            self._starts,
-            self._counts,
-            self._shared,
-            self._lo + a,
-            self._lo + b,
-        )
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
+    def __missing__(self, offset: int) -> tuple[int]:
+        single = self[offset] = (offset,)
+        return single
 
 
 class _PackedDocTerms:
     """Mapping-shaped term-document view over the packed frames: ``get``
-    returns a :class:`TermDocumentPostings` built zero-copy from the
-    frame's doc-id and count arrays."""
+    returns the frame's :class:`TermDocumentPostings` (None for a term
+    the index does not hold)."""
 
     __slots__ = ("_index",)
 
@@ -432,20 +255,8 @@ class _PackedDocTerms:
         self._index = index
 
     def get(self, term: str) -> TermDocumentPostings | None:
-        idx = self._index
-        cached = idx._doc_cache.get(term, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        if term not in idx._directory:
-            idx._doc_cache[term] = None
-            return None
-        pp = idx.postings(term)
-        td = TermDocumentPostings(pp.doc_ids, pp._counts)
-        idx._doc_cache[term] = td
-        return td
-
-
-_MISSING = object()
+        views = self._index._views(term)
+        return None if views is None else views[1]
 
 
 class _PackedTermsMap(Mapping):
@@ -457,7 +268,7 @@ class _PackedTermsMap(Mapping):
     def __init__(self, index: "PackedIndex"):
         self._index = index
 
-    def __getitem__(self, term: str) -> PackedPositionPostings:
+    def __getitem__(self, term: str) -> PositionPostings:
         if term not in self._index._directory:
             raise KeyError(term)
         return self._index.postings(term)
@@ -471,7 +282,8 @@ class _PackedTermsMap(Mapping):
 
 class PackedIndex:
     """A read-only index over one packed blob (bytes, mmap, or a
-    ``multiprocessing.shared_memory`` buffer).
+    ``multiprocessing.shared_memory`` buffer) — what every engine,
+    loaded or built in memory, and every worker process serves.
 
     Construction performs the cheap structural checks every open must
     pass (magic, version, header CRC, directory bounds, truncation);
@@ -548,8 +360,10 @@ class PackedIndex:
                 path=src,
             )
         self._sentence_starts: list[tuple[int, ...]] | None = None
-        self._post_cache: dict[str, PackedPositionPostings] = {}
-        self._doc_cache: dict[str, TermDocumentPostings | None] = {}
+        self._decoded: dict[
+            str, tuple[PositionPostings, TermDocumentPostings]
+        ] = {}
+        self._singles = _SingleTuples()
         if verify:
             self.verify()
 
@@ -569,8 +383,14 @@ class PackedIndex:
     @property
     def blob(self) -> bytes:
         """Exactly the packed bytes this index reads (the buffer it was
-        opened over may be longer: shared-memory segments round up)."""
-        return bytes(self._mv[: self._base + self._payload_size])
+        opened over may be longer: shared-memory segments round up).
+        Opened over a ``bytes`` of just that length, it is that object;
+        any other buffer is copied."""
+        size = self._base + self._payload_size
+        buf = self._mv.obj
+        if type(buf) is bytes and len(buf) == len(self._mv) == size:
+            return buf
+        return bytes(self._mv[:size])
 
     # -- zero-copy section / frame access ---------------------------------
 
@@ -620,28 +440,48 @@ class PackedIndex:
             )
         return off, size, n_docs, n_pos
 
-    def _decode(self, term: str) -> PackedPositionPostings:
+    def _decode(
+        self, term: str
+    ) -> tuple[PositionPostings, TermDocumentPostings]:
+        """Both views of ``term``'s frame.  The doc ids are decoded once
+        and shared; offsets are tuples of builtin ints cut from one
+        ``tolist``, and single-position entries share one tuple per
+        offset (most entries hold one position)."""
         off, _size, n, n_pos = self._frame_bounds(term)
         mv = self._mv
         head = _FRAME_HEAD.size
         deltas = np.frombuffer(mv, np.uint32, n, off + head)
         counts = np.frombuffer(mv, np.uint32, n, off + head + 4 * n)
-        positions = np.frombuffer(mv, np.uint32, n_pos, off + head + 8 * n)
         # Batch decode: one cumsum rebuilds the sorted doc ids, another
         # the per-document run bounds into the positions buffer.
         doc_ids = np.cumsum(deltas, dtype=np.int64)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum(counts, dtype=np.int64, out=starts[1:])
-        if int(starts[-1]) != n_pos:
+        cuts = [0, *np.cumsum(counts, dtype=np.int64).tolist()]
+        if cuts[-1] != n_pos:
             raise IndexCorruptionError(
                 f"term {term!r}: position counts do not sum to the frame's "
                 "position total",
                 path=self._source,
             )
-        return PackedPositionPostings(
-            doc_ids, starts, counts, _LazyPositionList(positions, starts), 0, n
+        positions = np.frombuffer(mv, np.uint32, n_pos, off + head + 8 * n).tolist()
+        singles = self._singles
+        offsets = [
+            singles[positions[a]] if b - a == 1 else tuple(positions[a:b])
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        return (
+            PositionPostings(doc_ids, offsets),
+            TermDocumentPostings(doc_ids, counts),
         )
+
+    def _views(
+        self, term: str
+    ) -> tuple[PositionPostings, TermDocumentPostings] | None:
+        """``term``'s decoded views, decoding its frame on first use;
+        None for a term the index does not hold."""
+        views = self._decoded.get(term)
+        if views is None and term in self._directory:
+            views = self._decoded[term] = self._decode(term)
+        return views
 
     # -- integrity ---------------------------------------------------------
 
@@ -670,17 +510,12 @@ class PackedIndex:
                     path=self._source,
                 )
 
-    # -- Index-shaped lookup surface ---------------------------------------
+    # -- lookups used by planning, execution and scoring --------------------
 
-    def postings(self, term: str) -> PackedPositionPostings | PositionPostings:
-        cached = self._post_cache.get(term)
-        if cached is not None:
-            return cached
-        if term not in self._directory:
-            return _EMPTY_POSTINGS
-        decoded = self._decode(term)
-        self._post_cache[term] = decoded
-        return decoded
+    def postings(self, term: str) -> PositionPostings:
+        """Position postings for ``term`` (empty postings if unseen)."""
+        views = self._views(term)
+        return EMPTY_POSTINGS if views is None else views[0]
 
     def sentence_starts_of(self, doc_id: int) -> tuple[int, ...]:
         if self._sentence_starts is None:
@@ -698,9 +533,10 @@ class PackedIndex:
         return ()
 
     def document_frequency(self, term: str) -> int:
-        cached = self._post_cache.get(term)
-        if cached is not None:
-            return cached.document_frequency
+        """#DOCS for ``term``."""
+        views = self._decoded.get(term)
+        if views is not None:
+            return views[0].document_frequency
         if term not in self._directory:
             return 0
         # Header peek: the cost model asks for df per candidate term;
@@ -709,12 +545,13 @@ class PackedIndex:
         return self._frame_bounds(term)[2]
 
     def term_frequency(self, doc_id: int, term: str) -> int:
+        """#INDOC for ``term`` in ``doc_id``."""
         return self.postings(term).term_frequency(doc_id)
 
     def total_positions(self, term: str) -> int:
-        cached = self._post_cache.get(term)
-        if cached is not None:
-            return cached.total_positions
+        views = self._decoded.get(term)
+        if views is not None:
+            return views[0].total_positions
         if term not in self._directory:
             return 0
         return self._frame_bounds(term)[3]

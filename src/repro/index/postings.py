@@ -4,6 +4,18 @@ A term's postings map each document containing the term to the ascending
 list of offsets at which it occurs.  Document ids are kept in a sorted
 NumPy array so that seeks (``skip pointers`` in IR terms, the enabler of
 zig-zag joins) are ``O(log n)`` via binary search.
+
+Both views of the index live here: :class:`PositionPostings` for the
+term-position index the ``A`` leaves scan, and
+:class:`TermDocumentPostings` for the term-document index ``CA`` scans.
+:class:`repro.index.packed.PackedIndex` decodes each term frame into one
+of each, on first use.
+
+The term-document view exists as a distinct object, not a convenience
+accessor: the pre-counting optimization's benefit (Section 5.2.3) is that
+``CA`` scans one entry per document instead of one entry per position, and
+the two leaf operators in :mod:`repro.exec.scan_ops` bill their work
+accordingly.
 """
 
 from __future__ import annotations
@@ -53,8 +65,8 @@ class PositionPostings:
     @property
     def doc_id_seq(self):
         """The bisectable doc-id sequence — the accessor scan cursors
-        share with the packed substrate (:mod:`repro.index.packed`),
-        where it is a zero-copy buffer view instead of a list."""
+        share with :class:`TermDocumentPostings`, where it is a zero-copy
+        buffer view instead of a list."""
         return self.doc_id_list
 
     @classmethod
@@ -106,6 +118,43 @@ class PositionPostings:
         if i < len(seq) and seq[i] == doc_id:
             return len(self.offsets[i])
         return 0
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+
+#: The postings of a term the index does not hold.
+EMPTY_POSTINGS = PositionPostings.empty()
+
+
+class TermDocumentPostings:
+    """Per-term entries of the term-document index: (doc, count) pairs.
+
+    Cursors bisect zero-copy ``memoryview``\\ s of the arrays
+    (:attr:`doc_id_seq`, :attr:`count_seq`) — indexing a memoryview
+    yields Python ints at list-like cost without materializing a list
+    copy per term; the counts are a view of the packed frame itself.
+    """
+
+    __slots__ = ("doc_ids", "counts", "_doc_id_seq", "_count_seq")
+
+    def __init__(self, doc_ids: np.ndarray, counts: np.ndarray):
+        self.doc_ids = doc_ids
+        self.counts = counts
+        self._doc_id_seq: memoryview | None = None
+        self._count_seq: memoryview | None = None
+
+    @property
+    def doc_id_seq(self) -> memoryview:
+        if self._doc_id_seq is None:
+            self._doc_id_seq = memoryview(self.doc_ids)
+        return self._doc_id_seq
+
+    @property
+    def count_seq(self) -> memoryview:
+        if self._count_seq is None:
+            self._count_seq = memoryview(self.counts)
+        return self._count_seq
 
     def __len__(self) -> int:
         return len(self.doc_ids)

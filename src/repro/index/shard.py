@@ -1,6 +1,6 @@
 """Document-partitioned index shards with *global* scoring statistics.
 
-A :class:`ShardedIndex` splits an :class:`repro.index.index.Index` into
+A :class:`ShardedIndex` splits a :class:`repro.index.packed.PackedIndex` into
 contiguous doc-id ranges.  Each :class:`ShardView` exposes the same
 lookup surface physical operators use (``postings``, ``doc_terms``,
 ``sentence_starts_of``) but restricted to its ``[lo, hi)`` range, so a
@@ -25,15 +25,18 @@ so repeated queries over the same shard pay dictionary lookups only.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro.errors import GraftError
-from repro.index.index import Index, TermDocumentPostings
-from repro.index.postings import PositionPostings
+from repro.index.packed import PackedIndex
+from repro.index.postings import (
+    EMPTY_POSTINGS,
+    PositionPostings,
+    TermDocumentPostings,
+)
 from repro.index.stats import CollectionStats
-
-_EMPTY_POSITIONS = PositionPostings.empty()
 
 
 class _ShardDocTerms:
@@ -53,7 +56,7 @@ class _ShardDocTerms:
 class ShardView:
     """One contiguous doc-id slice ``[lo, hi)`` of a base index.
 
-    Quacks like an :class:`Index` for plan execution (postings lookups
+    Quacks like a :class:`PackedIndex` for plan execution (postings lookups
     are range-restricted) while every scoring statistic stays global.
     """
 
@@ -66,7 +69,7 @@ class ShardView:
         "_doc_cache",
     )
 
-    def __init__(self, base: Index, shard_id: int, lo: int, hi: int):
+    def __init__(self, base: PackedIndex, shard_id: int, lo: int, hi: int):
         self.base = base
         self.shard_id = shard_id
         self.lo = lo
@@ -94,11 +97,7 @@ class ShardView:
         base = self.base.postings(term)
         a, b = self._bounds(base.doc_ids)
         if a == b:
-            sliced = _EMPTY_POSITIONS
-        elif hasattr(base, "sliced"):
-            # Packed postings: a slice is two integers over the shared
-            # decoded buffers — no offsets list is ever materialized.
-            sliced = base.sliced(a, b)
+            sliced = EMPTY_POSTINGS
         else:
             sliced = PositionPostings(base.doc_ids[a:b], base.offsets[a:b])
         self._pos_cache[term] = sliced
@@ -135,7 +134,7 @@ class ShardView:
         return self.base.stats
 
     @property
-    def terms(self) -> dict[str, PositionPostings]:
+    def terms(self) -> Mapping[str, PositionPostings]:
         return self.base.terms
 
     def sentence_starts_of(self, doc_id: int) -> tuple[int, ...]:
@@ -169,7 +168,7 @@ class ShardedIndex:
     whole collection — the precondition for the rank-preserving merge.
     """
 
-    def __init__(self, base: Index, num_shards: int):
+    def __init__(self, base: PackedIndex, num_shards: int):
         if not isinstance(num_shards, int) or isinstance(num_shards, bool) or num_shards < 1:
             raise GraftError(
                 f"num_shards must be a positive integer, got {num_shards!r}"

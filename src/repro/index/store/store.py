@@ -46,8 +46,7 @@ import threading
 from repro.corpus.io import collection_from_bytes, collection_to_bytes
 from repro.errors import IndexCorruptionError, IndexError_
 from repro.index.builder import build_index
-from repro.index.index import Index
-from repro.index.packed import PackedIndex, pack_documents, pack_index
+from repro.index.packed import PackedIndex, pack_documents
 from repro.index.store import fsio, wal
 from repro.index.store.faults import StoreFaultInjector
 from repro.index.store.lock import LOCK_NAME, StoreLock
@@ -197,7 +196,7 @@ class IndexStore:
 
     def load_index(
         self, blobs: dict[str, bytes] | None = None
-    ) -> PackedIndex | Index:
+    ) -> PackedIndex:
         """The current generation's index, over verified bytes.
 
         ``blobs`` are files already read through :meth:`read_file`.  The
@@ -410,19 +409,19 @@ class IndexStore:
         return StoreLock(self.path)
 
 
-def engine_payload(index, collection) -> dict[str, bytes]:
+def engine_payload(
+    index: PackedIndex | None, collection
+) -> dict[str, bytes]:
     """Serialize an engine's state as checkpoint files.
 
-    ``index`` is what the engine holds: a loaded :class:`PackedIndex`
-    writes its own bytes, a built :class:`Index` is packed, and ``None``
-    (nothing built since the last change) packs ``collection`` straight
-    from its documents — the same bytes, without building the object
-    index only to write it.
+    ``index`` is what the engine holds: its own bytes are written, and
+    ``None`` (nothing built since the last change) packs ``collection``
+    from its documents — the bytes :func:`build_index` would serve.
     """
     titles = json.dumps([doc.title for doc in collection]).encode("utf-8")
     return {
         INDEX_FILE: (
-            pack_documents(collection) if index is None else pack_index(index)
+            pack_documents(collection) if index is None else index.blob
         ),
         DOCS_FILE: collection_to_bytes(collection),
         TITLES_FILE: titles,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 from repro.mcalc.ast import Pred
 from repro.mcalc.predicates import get_predicate
 from repro.sa.context import ScoringContext
@@ -55,7 +55,7 @@ class EncapsulatedEngine:
     hand-drawn Plans 1 and 2 of the paper.
     """
 
-    def __init__(self, index: Index, ctx: ScoringContext, sj: ScoreJoin,
+    def __init__(self, index: PackedIndex, ctx: ScoringContext, sj: ScoreJoin,
                  initial: Callable[[ScoringContext, int, str, str], float]):
         self.index = index
         self.ctx = ctx

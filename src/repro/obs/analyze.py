@@ -15,13 +15,13 @@ from typing import TYPE_CHECKING
 from repro.obs.trace import TraceNode
 
 if TYPE_CHECKING:
-    from repro.index.index import Index
+    from repro.index.packed import PackedIndex
 
 #: actual/estimated rows beyond this ratio (either direction) is flagged.
 MISESTIMATE_RATIO = 8.0
 
 
-def annotate_estimates(root: TraceNode, index: "Index") -> None:
+def annotate_estimates(root: TraceNode, index: "PackedIndex") -> None:
     """Attach cost-model estimates to every trace node that still holds
     its logical plan node.  Nodes the estimator cannot price (e.g. plug-in
     extensions) stay unannotated rather than failing the trace."""

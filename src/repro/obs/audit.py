@@ -28,7 +28,7 @@ from repro.errors import GraftError, ScoreConsistencyError
 
 if TYPE_CHECKING:
     from repro.corpus.collection import DocumentCollection
-    from repro.index.index import Index
+    from repro.index.packed import PackedIndex
     from repro.mcalc.ast import Query
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.rewrite import RewriteEvent
@@ -226,7 +226,7 @@ def fired_rule_names(
 
 
 def shadow_audit(
-    index: "Index",
+    index: "PackedIndex",
     scheme: "ScoringScheme",
     query: "Query",
     got: Sequence[tuple[int, float]],

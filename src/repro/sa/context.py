@@ -14,7 +14,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable
 
-from repro.index.index import Index
+from repro.index.packed import PackedIndex
 
 
 class ScoringContext(ABC):
@@ -55,9 +55,9 @@ class ScoringContext(ABC):
 
 
 class IndexScoringContext(ScoringContext):
-    """Statistics read from a built :class:`repro.index.Index`."""
+    """Statistics read from a built :class:`repro.index.PackedIndex`."""
 
-    def __init__(self, index: Index):
+    def __init__(self, index: PackedIndex):
         self.index = index
 
     def collection_size(self) -> int:

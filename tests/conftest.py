@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
 import pytest
 
 from repro.corpus.collection import DocumentCollection
 from repro.corpus.wine import wine_collection, wine_stats_overrides
-from repro.index.builder import build_index
+from repro.index.builder import FlatIndex, build_index
 from repro.sa.context import IndexScoringContext, OverrideScoringContext
 from repro.sa.registry import get_scheme
 
@@ -85,6 +88,83 @@ def write_old_generation(path, collection: DocumentCollection) -> None:
         store.checkpoint(
             {**payload, **OLD_INDEX_FILES}, doc_count=len(collection)
         )
+
+
+def reference_index(documents) -> dict[str, dict[int, list[int]]]:
+    """The inverted index by its definition, one document at a time:
+    ``{term: {doc id: [offsets]}}`` from each ``Document.tokens``."""
+    by_term: dict[str, dict[int, list[int]]] = {}
+    for doc in documents:
+        for offset, term in enumerate(doc.tokens):
+            by_term.setdefault(term, {}).setdefault(doc.doc_id, []).append(offset)
+    return by_term
+
+
+def assert_index_matches_documents(index, documents) -> None:
+    """``index`` is exactly the inverted index of ``documents``: both
+    views of every term, every lookup, the statistics and the sentence
+    starts agree with :func:`reference_index`, and every cell the
+    executor reads is a builtin int."""
+    docs = list(documents)
+    by_term = reference_index(docs)
+    assert set(index.terms) == set(by_term)
+    assert index.vocabulary_size() == len(by_term)
+    for term, by_doc in by_term.items():
+        doc_ids = sorted(by_doc)
+        offsets = [tuple(by_doc[d]) for d in doc_ids]
+        # Frame-head answers first, then the decoded views.
+        assert index.document_frequency(term) == len(doc_ids)
+        assert index.total_positions(term) == sum(map(len, offsets))
+        postings = index.postings(term)
+        assert index.terms[term] is postings
+        assert postings.doc_ids.tolist() == postings.doc_id_list == doc_ids
+        assert list(postings.offsets) == offsets
+        assert postings.document_frequency == len(doc_ids)
+        assert postings.total_positions == sum(map(len, offsets))
+        counts = index.doc_terms.get(term)
+        assert list(counts.doc_id_seq) == doc_ids
+        assert list(counts.count_seq) == [len(o) for o in offsets]
+        for cell in (
+            *chain.from_iterable(postings.offsets),
+            *postings.doc_id_list,
+            *counts.doc_id_seq,
+            *counts.count_seq,
+        ):
+            assert type(cell) is int
+        for doc in docs:
+            want = tuple(by_doc.get(doc.doc_id, ()))
+            assert postings.positions_in(doc.doc_id) == want
+            assert postings.term_frequency(doc.doc_id) == len(want)
+            assert index.term_frequency(doc.doc_id, term) == len(want)
+    assert index.num_docs == index.stats.num_docs == len(docs)
+    assert index.stats.doc_lengths.tolist() == [len(doc.tokens) for doc in docs]
+    assert [index.sentence_starts_of(doc.doc_id) for doc in docs] == [
+        tuple(doc.sentence_starts) for doc in docs
+    ]
+    assert index.sentence_starts_of(len(docs)) == ()
+
+
+def flat_index(**terms: list[tuple[int, tuple[int, ...]]]) -> FlatIndex:
+    """The arrays the blob writer encodes, holding ``term -> [(doc id,
+    offsets), ...]`` as given (unchecked, in argument order) over one
+    empty document."""
+    entries = list(terms.values())
+    return FlatIndex(
+        terms=list(terms),
+        doc_bounds=np.cumsum([0, *map(len, entries)]),
+        doc_ids=np.array(
+            [doc for entry in entries for doc, _ in entry], dtype=np.int64
+        ),
+        counts=np.array(
+            [len(run) for entry in entries for _, run in entry], dtype=np.int64
+        ),
+        positions=np.array(
+            [p for entry in entries for _, run in entry for p in run],
+            dtype=np.int64,
+        ),
+        doc_lengths=np.zeros(1, dtype=np.int64),
+        sentence_starts=[()],
+    )
 
 
 @pytest.fixture(scope="session")

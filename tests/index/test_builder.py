@@ -3,7 +3,12 @@
 import pytest
 
 from repro.corpus.collection import DocumentCollection
-from repro.index.builder import IndexBuilder, build_index
+from repro.corpus.document import Document
+from repro.errors import IndexError_
+from repro.index.builder import build_index
+from repro.index.packed import pack_documents
+
+from tests.conftest import reference_index
 
 
 def test_build_from_collection(tiny_collection):
@@ -42,18 +47,33 @@ def test_avg_doc_length(tiny_collection, tiny_index):
 
 
 def test_out_of_order_ids_rejected():
-    builder = IndexBuilder()
-    builder.add_document(0, ("a",))
-    with pytest.raises(ValueError):
-        builder.add_document(2, ("b",))
+    """A document's id is its position: anything but 0, 1, 2, ... is
+    refused, not silently renumbered."""
+    for ids in ((3,), (0, 2), (1, 0), (0, 0)):
+        documents = [Document(doc_id, ("a",)) for doc_id in ids]
+        for build in (build_index, pack_documents):
+            with pytest.raises(IndexError_, match="dense id order"):
+                build(documents)
 
 
-def test_term_document_index_is_logical_subset(tiny_index):
-    """The term-document view must agree with the term-position view."""
-    for term, postings in tiny_index.terms.items():
-        docs = tiny_index.doc_terms[term]
-        assert list(docs.doc_ids) == list(postings.doc_ids)
-        assert list(docs.counts) == [len(o) for o in postings.offsets]
+def test_term_document_index_is_logical_subset(tiny_collection, tiny_index):
+    """The term-document view holds one (doc, #INDOC) entry per document
+    of the term-position view, as the documents define them."""
+    for term, by_doc in reference_index(tiny_collection).items():
+        docs = tiny_index.doc_terms.get(term)
+        postings = tiny_index.postings(term)
+        assert docs.doc_ids is postings.doc_ids
+        assert list(docs.doc_ids) == sorted(by_doc)
+        assert list(docs.counts) == [len(by_doc[d]) for d in sorted(by_doc)]
+
+
+def test_single_position_entries_share_one_tuple_per_offset(tiny_index):
+    shared: dict[int, tuple[int]] = {}
+    for term in tiny_index.terms:
+        for run in tiny_index.postings(term).offsets:
+            if len(run) == 1:
+                assert shared.setdefault(run[0], run) is run
+    assert shared
 
 
 def test_empty_collection_index():

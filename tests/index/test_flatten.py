@@ -1,11 +1,11 @@
 """One array build from documents.
 
 :func:`repro.index.builder.flatten` is the only way documents become an
-index: :func:`build_index` carves the object index from its arrays and
-:func:`pack_documents` writes the packed blob from them, which is what a
-checkpoint does.  So the two must agree with each other byte for byte,
-and the carved index must agree with the plain per-document definition
-of an inverted index.
+index: :func:`pack_documents` writes the packed blob from its arrays,
+which is what a checkpoint does, and :func:`build_index` serves that
+blob.  So the two must agree with each other byte for byte, and the
+served index must agree with the plain per-document definition of an
+inverted index.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.api
+import repro.index.packed
 import repro.index.store.store
 from repro.api import SearchEngine
 from repro.corpus.analyzer import SentenceAnalyzer
@@ -23,6 +23,8 @@ from repro.errors import IndexError_
 from repro.index.builder import build_index, flatten
 from repro.index.packed import PackedIndex, pack_documents, pack_index
 from repro.index.store import INDEX_FILE, IndexStore
+
+from tests.conftest import assert_index_matches_documents
 
 # Repeats and non-ASCII on purpose; "" is a term too.
 _WORDS = ("a", "b", "fox", "Zürich", "日本", "λ", "ß", "")
@@ -43,18 +45,6 @@ def collection_of(corpus) -> DocumentCollection:
     return collection
 
 
-def reference(collection):
-    """The inverted index by its definition, one document at a time:
-    ``{term: {doc: [offsets]}}``, doc lengths, sentence starts."""
-    by_term: dict[str, dict[int, list[int]]] = {}
-    for doc in collection:
-        for offset, term in enumerate(doc.tokens):
-            by_term.setdefault(term, {}).setdefault(doc.doc_id, []).append(offset)
-    lengths = [len(doc.tokens) for doc in collection]
-    sentences = [tuple(doc.sentence_starts) for doc in collection]
-    return by_term, lengths, sentences
-
-
 @settings(max_examples=60, deadline=None)
 @given(corpus=corpora)
 def test_pack_documents_is_pack_of_the_built_index(corpus):
@@ -66,30 +56,7 @@ def test_pack_documents_is_pack_of_the_built_index(corpus):
 @given(corpus=corpora)
 def test_built_index_matches_the_per_document_reference(corpus):
     collection = collection_of(corpus)
-    index = build_index(collection)
-    by_term, lengths, sentences = reference(collection)
-    assert set(index.terms) == set(by_term) == set(index.doc_terms)
-    for term, by_doc in by_term.items():
-        postings = index.terms[term]
-        docs = sorted(by_doc)
-        assert [int(d) for d in postings.doc_ids] == docs
-        assert postings.doc_id_list == docs
-        assert list(postings.offsets) == [tuple(by_doc[d]) for d in docs]
-        assert postings.total_positions == sum(map(len, by_doc.values()))
-        counts = index.doc_terms[term]
-        assert list(counts.doc_id_seq) == docs
-        assert list(counts.count_seq) == [len(by_doc[d]) for d in docs]
-        # Cells the executor reads are builtin ints, not NumPy scalars.
-        for cell in (
-            *(o for offsets in postings.offsets for o in offsets),
-            *postings.doc_id_list,
-            *counts.doc_id_seq,
-            *counts.count_seq,
-        ):
-            assert type(cell) is int
-    assert index.stats.doc_lengths.tolist() == lengths
-    assert index.num_docs == len(lengths)
-    assert index.sentence_starts == sentences
+    assert_index_matches_documents(build_index(collection), collection)
 
 
 def test_edges_pack_alike():
@@ -125,32 +92,37 @@ def test_reloaded_engine_serves_the_bytes_of_its_documents(corpus, tmp_path_fact
     assert pack_index(restored.index) == pack_index(build_index(collection))
 
 
-def test_checkpoint_packs_documents_without_building_the_index(
-    tmp_path, monkeypatch
-):
-    def refuse(collection):
-        raise AssertionError("checkpoint built the object index")
+def test_checkpoint_serves_the_index_it_wrote(tmp_path, monkeypatch):
+    """A checkpoint packs the documents once: the engine then serves the
+    bytes of the generation's ``index.pk``, and its next search packs
+    nothing.  So does the first checkpoint of a fresh store."""
+
+    def refuse(documents):
+        raise AssertionError("the documents were packed again")
+
+    def served(engine, generation) -> list[int]:
+        written = (tmp_path / "s" / generation / INDEX_FILE).read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.index.packed, "pack_documents", refuse)
+            patch.setattr(repro.index.store.store, "pack_documents", refuse)
+            assert engine.index.blob == written
+            return [r.doc_id for r in engine.search("quick dog")]
 
     texts = ["the quick brown fox", "a lazy dog", "quick quick dog", ""]
     with SearchEngine.open(tmp_path / "s") as engine:
-        with monkeypatch.context() as patch:
-            patch.setattr(repro.api, "build_index", refuse)
-            patch.setattr(repro.index.store.store, "build_index", refuse)
-            engine.add_many(texts)
-            generation = engine.checkpoint()
-            assert engine._index is None
-        written = (tmp_path / "s" / generation / INDEX_FILE).read_bytes()
-        assert written == pack_index(build_index(engine.collection))
-        assert written == IndexStore.open(tmp_path / "s").read_file(INDEX_FILE)
-        # The next search builds the index lazily and answers from it.
-        assert [r.doc_id for r in engine.search("quick dog")] == [2]
+        assert served(engine, engine.loaded_generation) == []
+        engine.add_many(texts)
+        generation = engine.checkpoint()
+        assert served(engine, generation) == [2]
+        assert IndexStore.open(tmp_path / "s").read_file(INDEX_FILE) == \
+            engine.index.blob == pack_documents(engine.collection)
 
 
 def test_sentence_offset_beyond_uint32_is_a_typed_error(tmp_path):
     collection = DocumentCollection()
     collection.add_tokens(["a", "b"], sentence_starts=(0, 2**32))
     with pytest.raises(IndexError_, match="sentence offsets"):
-        pack_index(build_index(collection))
+        build_index(collection)
     with pytest.raises(IndexError_, match="sentence offsets"):
         pack_documents(collection)
     with pytest.raises(IndexError_, match="sentence offsets"):

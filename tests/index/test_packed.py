@@ -1,14 +1,16 @@
 """Packed postings codec: round-trip fidelity, corruption rejection,
-and score equivalence with the object substrate.
+and score equivalence across reopened and sharded indexes.
 
-The packed blob is the store's index file, what a loaded engine serves
-from and what worker processes attach to, so its contract is absolute: decode must reproduce the object index *exactly*
-(every doc id, every position tuple, every statistic), every execution
-over a :class:`repro.index.packed.PackedIndex` must score bit-identical
-to the object index, and any damaged buffer — truncated anywhere, or a
-byte flipped inside any checksummed region — must be rejected with
-:class:`repro.errors.IndexCorruptionError` rather than decoded into
-silently-wrong postings.
+The packed blob is every index: what ``build_index`` serves, the
+store's index file, what a loaded engine serves from and what worker
+processes attach to.  So its contract is absolute: decode must
+reproduce the documents' inverted index *exactly* (every doc id, every
+position tuple, every statistic), every execution over a reopened or
+sharded :class:`repro.index.packed.PackedIndex` must score
+bit-identical to the index it came from, and any damaged buffer —
+truncated anywhere, or a byte flipped inside any checksummed region —
+must be rejected with :class:`repro.errors.IndexCorruptionError` rather
+than decoded into silently-wrong postings.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import struct
 import zlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,16 +30,19 @@ from repro.exec.engine import execute, make_runtime
 from repro.exec.parallel import execute_sharded
 from repro.graft.optimizer import Optimizer
 from repro.index.builder import build_index
-from repro.index.index import Index
-from repro.index.packed import MAGIC, PackedIndex, pack_index
-from repro.index.postings import PositionPostings
-from repro.index.shard import ShardedIndex
-from repro.index.stats import CollectionStats
+from repro.index.packed import MAGIC, PackedIndex, _pack, pack_index
+from repro.index.shard import ShardedIndex, ShardView
 from repro.mcalc.parser import parse_query
 from repro.sa.context import IndexScoringContext
 from repro.sa.registry import get_scheme
 
-from tests.conftest import SCHEME_NAMES, TINY_QUERIES
+from tests.conftest import (
+    SCHEME_NAMES,
+    TINY_QUERIES,
+    assert_index_matches_documents,
+    flat_index,
+    reference_index,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,40 +58,21 @@ def packed(blob) -> PackedIndex:
 # -- round trip -----------------------------------------------------------
 
 
-def test_round_trip_statistics(tiny_index, packed):
-    assert packed.num_docs == tiny_index.num_docs
-    assert packed.vocabulary_size() == tiny_index.vocabulary_size()
-    assert packed.stats.num_docs == tiny_index.stats.num_docs
-    assert list(packed.stats.doc_lengths) == list(tiny_index.stats.doc_lengths)
-    assert packed.stats.avg_doc_length == tiny_index.stats.avg_doc_length
-    for doc_id in range(tiny_index.num_docs):
-        assert packed.sentence_starts_of(doc_id) == \
-            tiny_index.sentence_starts_of(doc_id)
+def test_round_trip_statistics(tiny_collection, packed):
+    lengths = [doc.length for doc in tiny_collection]
+    assert packed.num_docs == len(tiny_collection)
+    assert packed.vocabulary_size() == len(tiny_collection.vocabulary())
+    assert packed.stats.doc_lengths.tolist() == lengths
+    assert packed.stats.avg_doc_length == sum(lengths) / len(lengths)
+    for doc in tiny_collection:
+        assert packed.sentence_starts_of(doc.doc_id) == doc.sentence_starts
 
 
-def test_round_trip_every_term_every_entry(tiny_index, packed):
-    assert sorted(packed.terms) == sorted(tiny_index.terms)
-    for term, original in tiny_index.terms.items():
-        decoded = packed.postings(term)
-        assert list(decoded.doc_ids) == list(original.doc_ids)
-        assert [tuple(o) for o in decoded.offsets] == \
-            [tuple(o) for o in original.offsets]
-        assert decoded.document_frequency == original.document_frequency
-        assert decoded.total_positions == original.total_positions
-        assert packed.document_frequency(term) == \
-            tiny_index.document_frequency(term)
-        assert packed.total_positions(term) == \
-            tiny_index.total_positions(term)
-        for doc_id in list(original.doc_ids) + [0, tiny_index.num_docs - 1]:
-            assert decoded.positions_in(doc_id) == \
-                original.positions_in(doc_id)
-            assert decoded.term_frequency(doc_id) == \
-                original.term_frequency(doc_id)
-            assert packed.term_frequency(doc_id, term) == \
-                tiny_index.term_frequency(doc_id, term)
+def test_round_trip_every_term_every_entry(tiny_collection, packed):
+    assert_index_matches_documents(packed, tiny_collection)
 
 
-def test_absent_term_is_empty(packed, tiny_index):
+def test_absent_term_is_empty(packed):
     assert packed.document_frequency("zzz-absent") == 0
     assert packed.total_positions("zzz-absent") == 0
     assert len(packed.postings("zzz-absent")) == 0
@@ -95,34 +80,33 @@ def test_absent_term_is_empty(packed, tiny_index):
     assert packed.doc_terms.get("zzz-absent") is None
 
 
-def test_doc_terms_round_trip(tiny_index, packed):
-    for term in tiny_index.terms:
+def test_doc_terms_round_trip(tiny_collection, packed):
+    for term, by_doc in reference_index(tiny_collection).items():
         got = packed.doc_terms.get(term)
-        want = tiny_index.doc_terms.get(term)
-        assert got is not None and want is not None
-        assert list(got.doc_ids) == list(want.doc_ids)
-        assert list(got.counts) == list(want.counts)
+        assert list(got.doc_ids) == sorted(by_doc)
+        assert list(got.counts) == [len(by_doc[d]) for d in sorted(by_doc)]
 
 
-def test_sliced_is_a_zero_copy_entry_range(tiny_index, packed):
-    for term, original in tiny_index.terms.items():
-        decoded = packed.postings(term)
-        df = decoded.document_frequency
-        for a, b in ((0, df), (0, max(0, df - 1)), (1, df), (df, df)):
-            if a > b:
-                continue
-            view = decoded.sliced(a, b)
-            assert list(view.doc_ids) == list(original.doc_ids[a:b])
-            assert [tuple(o) for o in view.offsets] == \
-                [tuple(o) for o in original.offsets[a:b]]
-            assert view.document_frequency == b - a
-            assert view.total_positions == \
-                sum(len(o) for o in original.offsets[a:b])
-            for doc_id in list(original.doc_ids):
+def test_shard_postings_are_the_entry_range_of_their_documents(
+    tiny_collection, packed
+):
+    """A shard's postings of a term are the term's entries for the
+    documents in the shard's range, and nothing else."""
+    n = len(tiny_collection)
+    for lo, hi in ((0, n), (0, 3), (2, 5), (4, n), (3, 3)):
+        shard = ShardView(packed, 0, lo, hi)
+        for term, by_doc in reference_index(tiny_collection).items():
+            inside = [d for d in sorted(by_doc) if lo <= d < hi]
+            view = shard.postings(term)
+            assert list(view.doc_ids) == inside
+            assert list(view.offsets) == [tuple(by_doc[d]) for d in inside]
+            assert view.document_frequency == len(inside)
+            assert view.total_positions == sum(len(by_doc[d]) for d in inside)
+            counts = shard.doc_terms.get(term)
+            assert list(counts.count_seq) == [len(by_doc[d]) for d in inside]
+            for doc_id in by_doc:
                 assert view.positions_in(doc_id) == (
-                    original.positions_in(doc_id)
-                    if doc_id in set(int(d) for d in original.doc_ids[a:b])
-                    else ()
+                    tuple(by_doc[doc_id]) if doc_id in inside else ()
                 )
 
 
@@ -149,10 +133,12 @@ def test_blob_bytes_are_pinned(blob):
 
 
 def test_packing_a_packed_index_returns_its_own_bytes(blob, packed):
-    assert pack_index(packed) == blob
-    # Also over a buffer longer than the blob (shared-memory segments
-    # round their size up).
+    # Opened over exactly its bytes, an index hands those back uncopied.
+    assert pack_index(packed) is packed.blob is blob
+    # Over a buffer longer than the blob (shared-memory segments round
+    # their size up), or one that is not ``bytes``, it copies them out.
     assert pack_index(PackedIndex(blob + b"\x00" * 24)) == blob
+    assert PackedIndex(bytearray(blob)).blob == blob
 
 
 def test_a_closed_engine_frees_its_index_without_the_cyclic_collector(
@@ -183,11 +169,7 @@ def test_a_closed_engine_frees_its_index_without_the_cyclic_collector(
         gc.enable()
 
 
-def _index_of(**terms: PositionPostings) -> Index:
-    return Index(
-        terms, CollectionStats(np.zeros(1, dtype=np.int64)),
-        sentence_starts=[()],
-    )
+_FINE = [(0, (0,)), (7, (3, 4))]
 
 
 @pytest.mark.parametrize("doc_ids, offsets, message", [
@@ -197,33 +179,30 @@ def _index_of(**terms: PositionPostings) -> Index:
     ([4, 4], [(1,), (2,)], "'bad'.*strictly increasing"),
     ([1, 2], [(1,), (2**32,)], "'bad'.*positions outside"),
     ([1, 2], [(-7,), (2,)], "'bad'.*positions outside"),
-    ([1, 2], [(1,), (2**70,)], "positions outside"),
 ])
 def test_unpackable_values_rejected_at_encode(doc_ids, offsets, message):
     """Range and ordering checks survive the whole-index vectorized
     encode, and still name the offending term — here the middle of
     three, so a first-gap fix-up that leaked across terms would show."""
-    fine = PositionPostings(np.array([0, 7], dtype=np.int64), [(0,), (3, 4)])
-    bad = PositionPostings(np.array(doc_ids, dtype=np.int64), offsets)
+    bad = list(zip(doc_ids, offsets))
     with pytest.raises(IndexError_, match=message):
-        pack_index(_index_of(aaa=fine, bad=bad, zzz=fine))
+        _pack(flat_index(aaa=_FINE, bad=bad, zzz=_FINE))
 
 
 def test_term_boundaries_survive_the_whole_index_encode():
     """A term whose first doc id is below the previous term's last one,
     an empty term, and an entry with no positions all round-trip."""
-    index = _index_of(
-        a=PositionPostings(np.array([3, 9], dtype=np.int64), [(1,), (2, 5)]),
-        b=PositionPostings.empty(),
-        c=PositionPostings(np.array([0], dtype=np.int64), [()]),
-        d=PositionPostings(np.array([0, 2**32 - 1], dtype=np.int64),
-                           [(2**32 - 1,), (0,)]),
-    )
-    packed = PackedIndex(pack_index(index), verify=True)
-    for term, original in index.terms.items():
+    terms = {
+        "a": [(3, (1,)), (9, (2, 5))],
+        "b": [],
+        "c": [(0, ())],
+        "d": [(0, (2**32 - 1,)), (2**32 - 1, (0,))],
+    }
+    packed = PackedIndex(_pack(flat_index(**terms)), verify=True)
+    for term, entries in terms.items():
         decoded = packed.postings(term)
-        assert list(decoded.doc_ids) == list(original.doc_ids)
-        assert list(decoded.offsets) == original.offsets
+        assert [(int(d), o) for d, o in zip(decoded.doc_ids, decoded.offsets)] \
+            == entries
 
 
 # -- corruption rejection -------------------------------------------------
@@ -388,7 +367,7 @@ _PROPERTY_QUERIES = (
     shards=st.sampled_from((2, 3)),
 )
 def test_packed_scores_property(docs, text, scheme_name, shards):
-    """serial/object ≡ serial/packed ≡ thread-sharded/packed, exactly."""
+    """serial ≡ serial/reopened ≡ thread-sharded/reopened, exactly."""
     collection = DocumentCollection()
     for words in docs:
         collection.add_text(" ".join(words))

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.corpus.document import Document
 from repro.exec.engine import make_runtime
 from repro.exec.scan_ops import AtomScanOp, PreCountScanOp
-from repro.index.index import Index
+from repro.index.builder import build_index
 from repro.index.postings import PositionPostings
-from repro.index.stats import CollectionStats
 from repro.sa.registry import get_scheme
 
 
@@ -42,10 +42,13 @@ def test_term_frequency(postings):
     assert postings.term_frequency(2) == 0
 
 
-def test_seek_index(postings):
+def test_seek_index():
     """The leaves' skip-pointer seek lands on the first entry with
     doc >= target (doc ids 1, 5, 8)."""
-    index = Index({"t": postings}, CollectionStats(np.zeros(9, dtype=np.int64)))
+    index = build_index(
+        Document(doc_id, ("t",) if doc_id in (1, 5, 8) else ())
+        for doc_id in range(9)
+    )
     runtime = make_runtime(index, get_scheme("sumbest"), None)
 
     def first_doc_after_seek(leaf, target):

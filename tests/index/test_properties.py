@@ -1,7 +1,5 @@
 """Property-based tests on the index data structures."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +7,11 @@ from repro.corpus.collection import DocumentCollection
 from repro.exec.engine import make_runtime
 from repro.exec.scan_ops import AtomScanOp, PreCountScanOp, ScoredPreCountScanOp
 from repro.index.builder import build_index
-from repro.index.packed import PackedIndex, pack_index
+from repro.index.packed import PackedIndex, pack_documents
 from repro.index.postings import PositionPostings
 from repro.sa.registry import get_scheme
+
+from tests.conftest import assert_index_matches_documents, reference_index
 
 documents = st.lists(
     st.lists(st.sampled_from("abcde"), min_size=0, max_size=15),
@@ -51,22 +51,19 @@ def test_index_agrees_with_documents(docs):
 @settings(max_examples=60, deadline=None)
 @given(docs=documents, targets=st.lists(st.integers(0, 10), max_size=5))
 def test_seek_index_is_lower_bound(docs, targets):
-    """Every leaf operator's ``seek_doc``, over object and packed
-    postings, lands on the first document >= the target."""
+    """Every leaf operator's ``seek_doc``, over the position and the
+    term-document postings, lands on the first document >= the target."""
     col = collection_of(docs)
-    index = build_index(col)
-    scheme = get_scheme("sumbest")
-    for substrate in (index, PackedIndex(pack_index(index))):
-        runtime = make_runtime(substrate, scheme, None)
-        for term, postings in index.terms.items():
-            ids = [int(d) for d in postings.doc_ids]
-            for target in targets:
-                want = next((d for d in ids if d >= target), None)
-                for leaf in (AtomScanOp, PreCountScanOp, ScoredPreCountScanOp):
-                    op = leaf(runtime, "p", term)
-                    op.seek_doc(target)
-                    group = op.next_doc()
-                    assert (None if group is None else group[0]) == want
+    runtime = make_runtime(build_index(col), get_scheme("sumbest"), None)
+    for term, by_doc in reference_index(col).items():
+        ids = sorted(by_doc)
+        for target in targets:
+            want = next((d for d in ids if d >= target), None)
+            for leaf in (AtomScanOp, PreCountScanOp, ScoredPreCountScanOp):
+                op = leaf(runtime, "p", term)
+                op.seek_doc(target)
+                group = op.next_doc()
+                assert (None if group is None else group[0]) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,13 +77,9 @@ def test_doc_id_list_matches_array(docs):
 @settings(max_examples=25, deadline=None)
 @given(docs=documents)
 def test_packed_round_trip_any_corpus(docs):
-    index = build_index(collection_of(docs))
-    loaded = PackedIndex(pack_index(index), verify=True)
-    assert set(loaded.terms) == set(index.terms)
-    for term, postings in index.terms.items():
-        assert list(loaded.terms[term].offsets) == postings.offsets
-        assert list(loaded.terms[term].doc_ids) == list(postings.doc_ids)
-    assert list(loaded.stats.doc_lengths) == list(index.stats.doc_lengths)
+    col = collection_of(docs)
+    loaded = PackedIndex(pack_documents(col), verify=True)
+    assert_index_matches_documents(loaded, col)
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,10 +102,13 @@ def test_postings_from_dict_normalizes(by_doc):
 @settings(max_examples=60, deadline=None)
 @given(docs=documents)
 def test_term_document_counts_consistent(docs):
-    index = build_index(collection_of(docs))
-    for term, doc_postings in index.doc_terms.items():
-        positions = index.terms[term]
-        assert list(doc_postings.doc_ids) == list(positions.doc_ids)
+    col = collection_of(docs)
+    index = build_index(col)
+    for term, by_doc in reference_index(col).items():
+        doc_postings = index.doc_terms.get(term)
+        positions = index.postings(term)
+        assert list(doc_postings.doc_ids) == sorted(by_doc)
         assert [int(c) for c in doc_postings.counts] == \
             [len(o) for o in positions.offsets]
-        assert int(np.sum(doc_postings.counts)) == positions.total_positions
+        assert int(doc_postings.counts.sum()) == positions.total_positions \
+            == sum(map(len, by_doc.values()))

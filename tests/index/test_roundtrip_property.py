@@ -13,7 +13,6 @@ from __future__ import annotations
 import shutil
 import tempfile
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +20,11 @@ from hypothesis import strategies as st
 from repro.api import SearchEngine
 from repro.corpus.collection import DocumentCollection
 from repro.errors import IndexError_
-from repro.index.builder import build_index
-from repro.index.index import Index
-from repro.index.packed import PackedIndex, pack_index
-from repro.index.postings import PositionPostings
-from repro.index.stats import CollectionStats
+from repro.index.packed import PackedIndex, _pack, pack_documents
 from repro.mcalc.builder import all_of, term
 from repro.sa.registry import available_schemes
+
+from tests.conftest import assert_index_matches_documents, flat_index
 
 # Lowercase so built query terms (which .lower() their keyword) can hit.
 TOKEN_ALPHABET = "abcdéλøß日本語🦊"
@@ -79,13 +76,8 @@ def test_packed_round_trip_preserves_postings(corpus):
     collection = DocumentCollection()
     for doc_tokens in corpus:
         collection.add_tokens(doc_tokens)
-    index = build_index(collection)
-    loaded = PackedIndex(pack_index(index), verify=True)
-    assert set(loaded.terms) == set(index.terms)
-    for t, postings in index.terms.items():
-        assert list(loaded.terms[t].doc_ids) == list(postings.doc_ids)
-        assert list(loaded.terms[t].offsets) == postings.offsets
-    assert list(loaded.stats.doc_lengths) == list(index.stats.doc_lengths)
+    loaded = PackedIndex(pack_documents(collection), verify=True)
+    assert_index_matches_documents(loaded, collection)
 
 
 def test_empty_engine_round_trips_through_store(tmp_path):
@@ -105,33 +97,21 @@ def test_single_document_round_trip(tmp_path):
     assert (result.doc_id, result.title) == (0, "only")
 
 
-def _one_posting_index(first: int, doc_length: int) -> Index:
-    return Index(
-        {"far": PositionPostings(np.asarray([0], dtype=np.int64),
-                                 [(first, first + 7)])},
-        CollectionStats(np.asarray([doc_length], dtype=np.int64)),
-        sentence_starts=[()],
-    )
+def _one_posting_blob(first: int, doc_length: int) -> bytes:
+    flat = flat_index(far=[(0, (first, first + 7))])
+    return _pack(flat._replace(doc_lengths=flat.doc_lengths + doc_length))
 
 
 def test_offsets_beyond_int32_round_trip():
     big = 2 ** 31 + 5
-    loaded = PackedIndex(
-        pack_index(_one_posting_index(big, 2 ** 40)), verify=True
-    )
+    loaded = PackedIndex(_one_posting_blob(big, 2 ** 40), verify=True)
     assert list(loaded.terms["far"].offsets) == [(big, big + 7)]
     assert list(loaded.stats.doc_lengths) == [2 ** 40]
 
 
-def test_offsets_beyond_uint32_are_refused_not_wrapped(tmp_path):
+def test_offsets_beyond_uint32_are_refused_not_wrapped():
     """The fixed-width layout holds positions below 2^32; a larger one
-    is a typed encode error naming the term, at ``pack_index`` and at
-    ``save`` alike — never a silently wrapped offset on disk."""
-    index = _one_posting_index(2 ** 40, 2 ** 40 + 8)
+    is a typed encode error naming the term — never a silently wrapped
+    offset on disk."""
     with pytest.raises(IndexError_, match="'far'.*positions"):
-        pack_index(index)
-    engine = SearchEngine()
-    engine._index = index
-    with pytest.raises(IndexError_, match="positions"):
-        engine.save(tmp_path / "s")
-    assert not (tmp_path / "s" / "MANIFEST").exists()
+        _one_posting_blob(2 ** 40, 2 ** 40 + 8)

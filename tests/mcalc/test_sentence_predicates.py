@@ -66,7 +66,7 @@ class TestIndexStorage:
         assert [
             loaded.sentence_starts_of(doc.doc_id)
             for doc in sentence_collection
-        ] == index.sentence_starts
+        ] == [doc.sentence_starts for doc in sentence_collection]
         assert loaded.sentence_starts_of(99) == ()
 
 
