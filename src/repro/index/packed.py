@@ -560,5 +560,11 @@ class PackedIndex:
     def num_docs(self) -> int:
         return self.stats.num_docs
 
+    @property
+    def doc_range(self) -> tuple[int, int]:
+        """``[lo, hi)`` of the doc ids postings hold: the whole collection
+        (a :class:`repro.index.shard.ShardView` answers its slice)."""
+        return 0, self.stats.num_docs
+
     def vocabulary_size(self) -> int:
         return len(self._directory)

@@ -115,6 +115,11 @@ class ShardView:
         self._doc_cache[term] = sliced
         return sliced
 
+    @property
+    def doc_range(self) -> tuple[int, int]:
+        """``[lo, hi)``: the doc ids this shard's postings hold."""
+        return self.lo, self.hi
+
     def contains_term(self, term: str) -> bool:
         """True when ``term`` occurs in at least one document of this
         shard's range — the partition-pruning probe (O(log n), no slice

@@ -216,3 +216,28 @@ def assert_same_ranking(got, want, tol=1e-7):
         assert got_score == pytest.approx(want_score, rel=tol, abs=tol), (
             f"doc {doc}: got {got_score}, want {want_score}"
         )
+
+
+def plan_has_block(plan) -> bool:
+    """Whether an untraced run of ``plan`` compiles a pre-counted block
+    (:class:`repro.exec.block_ops.PreCountBlockOp`)."""
+    from repro.exec.block_ops import is_precount_block
+
+    return any(is_precount_block(node) for node in plan.walk())
+
+
+#: Counters a block bills exactly as the row tree does, and counters it
+#: may bill lower (work the row tree forms and the block never does).
+BLOCK_EXACT = ("positions_scanned", "positions_by_keyword", "rows_grouped",
+               "limit_tripped")
+BLOCK_AT_MOST = ("doc_entries_scanned", "rows_joined", "rows_charged")
+
+
+def assert_block_metrics(block, rows) -> None:
+    """``ExecutionMetrics`` of a block plan against the row tree's."""
+    got, want = block.as_dict(), rows.as_dict()
+    assert got.keys() == set(BLOCK_EXACT + BLOCK_AT_MOST)
+    for name in BLOCK_EXACT:
+        assert got[name] == want[name], name
+    for name in BLOCK_AT_MOST:
+        assert got[name] <= want[name], name

@@ -7,7 +7,9 @@ chain has length one.  An *empty* fault injector plants nothing and wraps
 nothing, so ``search(..., faults=FaultInjector([]))`` executes exactly the
 unfused tree (serial); ``profile=True`` does the same on every executor.
 These tests hold the two trees against each other: scores and order
-bit-identical (``==``, no tolerance) and the work counters equal.
+bit-identical (``==``, no tolerance) and the work counters equal —
+except where the untraced plan compiles a pre-counted block, whose
+counters follow the block rule (:func:`tests.conftest.assert_block_metrics`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ from repro.mcalc.parser import parse_query
 from repro.sa.context import IndexScoringContext
 from repro.sa.registry import available_schemes, get_scheme
 
-from tests.conftest import TINY_QUERIES, make_tiny_collection
+from tests.conftest import (
+    TINY_QUERIES,
+    assert_block_metrics,
+    make_tiny_collection,
+    plan_has_block,
+)
 
 CORPUS_DOCS = 600
 SCORE_STAGES = (
@@ -74,9 +81,20 @@ def answer(outcome):
     return [(r.doc_id, r.score) for r in outcome.results]
 
 
-def assert_same_run(fused, unfused):
+def uses_block(engine, text, scheme, optimize=True, options=None) -> bool:
+    """Whether ``engine.search(text, ...)`` untraced runs a block."""
+    optimizer = Optimizer(get_scheme(scheme), engine.index, options)
+    query = engine.parse(text)
+    result = optimizer.optimize(query) if optimize else optimizer.canonical(query)
+    return plan_has_block(result.plan)
+
+
+def assert_same_run(fused, unfused, blocked=False):
     assert answer(fused) == answer(unfused)
-    assert fused.metrics.as_dict() == unfused.metrics.as_dict()
+    if blocked:
+        assert_block_metrics(fused.metrics, unfused.metrics)
+    else:
+        assert fused.metrics.as_dict() == unfused.metrics.as_dict()
 
 
 # -- (a) fused == chain-of-one ------------------------------------------------
@@ -86,15 +104,17 @@ def assert_same_run(fused, unfused):
 @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
 def test_fused_equals_unfused_on_every_substrate(name, scheme, packed_engine):
     text = PAPER_QUERIES[name]
+    blocked = uses_block(_memory_engine(), text, scheme)
     for engine in (_memory_engine(), packed_engine):
         fused = engine.search(text, scheme=scheme)
         assert fused.executor == "serial"
-        assert_same_run(fused, engine.search(text, scheme=scheme, faults=FaultInjector([])))
-        assert_same_run(fused, engine.search(text, scheme=scheme, profile=True))
+        unfused = engine.search(text, scheme=scheme, faults=FaultInjector([]))
+        assert_same_run(fused, unfused, blocked)
+        assert_same_run(fused, engine.search(text, scheme=scheme, profile=True), blocked)
     sharded = _sharded_engine()
     fused = sharded.search(text, scheme=scheme)
     assert fused.executor == "thread" and fused.shard_count == 2
-    assert_same_run(fused, sharded.search(text, scheme=scheme, profile=True))
+    assert_same_run(fused, sharded.search(text, scheme=scheme, profile=True), blocked)
     # Sharding never changes an answer either (global scoring context).
     assert answer(fused) == answer(_memory_engine().search(text, scheme=scheme))
 
@@ -108,7 +128,7 @@ def test_fused_equals_unfused_on_the_canonical_plan(name, scheme):
     unfused = engine.search(
         text, scheme=scheme, optimize=False, faults=FaultInjector([])
     )
-    assert_same_run(fused, unfused)
+    assert_same_run(fused, unfused, uses_block(engine, text, scheme, optimize=False))
 
 
 #: Optimizer settings whose plans put Select, Forget, Count and the
@@ -133,7 +153,10 @@ def test_fused_equals_unfused_on_the_tiny_suite(text, scheme, options):
         unfused = engine.search(
             text, optimize=optimize, faults=FaultInjector([]), **kwargs
         )
-        assert_same_run(fused, unfused)
+        blocked = uses_block(
+            engine, text, scheme, optimize, OPTION_SETS[options]
+        )
+        assert_same_run(fused, unfused, blocked)
 
 
 #: graftbench-style templates (``graftbench/queries.py``): a slot letter
@@ -194,8 +217,10 @@ def test_fused_equals_unfused_property(text, scheme, options):
     engine = _memory_engine()
     kwargs = dict(scheme=scheme, top_k=10, options=OPTION_SETS[options])
     fused = engine.search(text, **kwargs)
-    assert_same_run(fused, engine.search(text, faults=FaultInjector([]), **kwargs))
-    assert_same_run(fused, engine.search(text, profile=True, **kwargs))
+    blocked = uses_block(engine, text, scheme, options=OPTION_SETS[options])
+    unfused = engine.search(text, faults=FaultInjector([]), **kwargs)
+    assert_same_run(fused, unfused, blocked)
+    assert_same_run(fused, engine.search(text, profile=True, **kwargs), blocked)
 
 
 # -- what is (and is not) fused -----------------------------------------------
@@ -330,8 +355,12 @@ def _docs_before_deadline(index, scheme, result, faults) -> tuple[int, int]:
 @pytest.mark.parametrize("scheme_name", ["sumbest", "anysum", "event-model"])
 def test_deadline_trips_inside_a_fused_chain_as_early_as_before(scheme_name):
     engine = _memory_engine()
-    text = "fault | line | san | francisco"
+    # The phrase keeps the union row-at-a-time: a union of pre-counted
+    # leaves alone compiles to one block (its heartbeat is checked in
+    # test_precount_block.py).
+    text = '"san francisco" | fault | line'
     scheme, result = _plan(text, scheme_name, engine.index, engine.collection.analyzer)
+    assert not plan_has_block(result.plan)
     total = len(engine.search(text, scheme=scheme_name).results)
     fused, fused_checks = _docs_before_deadline(engine.index, scheme, result, None)
     unfused, unfused_checks = _docs_before_deadline(
