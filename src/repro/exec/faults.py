@@ -189,3 +189,6 @@ class FaultyOp(PhysicalOp):
         inj.before_call(self._indices, "seek_doc", self.op_name)
         inj.on_doc(self._indices, "seek_doc", doc_id, self.op_name)
         self.inner.seek_doc(doc_id)
+
+    def doc_floor(self) -> int | None:
+        return self.inner.doc_floor()

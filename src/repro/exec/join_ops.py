@@ -224,6 +224,10 @@ class MergeJoinOp(PhysicalOp):
         self.left.seek(doc_id)
         self.right.seek(doc_id)
 
+    def doc_floor(self) -> int:
+        # Both inputs moved past the handed-out document on the spot.
+        return max(self.left.floor(), self.right.floor())
+
 
 class ForwardScanJoinOp(MergeJoinOp):
     """Merge join that emits at most one (the first) match per document.

@@ -217,6 +217,9 @@ class TracedOp(PhysicalOp):
                         stats.empty_cells += 1
             yield row
 
+    def doc_floor(self) -> int | None:
+        return self.op.doc_floor()
+
     def seek_doc(self, doc_id: int) -> None:
         stats = self.node.stats
         stats.seeks += 1
