@@ -86,19 +86,36 @@ def _start(plan: PlanNode, runtime: Runtime) -> tuple[PhysicalOp, int]:
 
 def execute_streaming(plan: PlanNode, runtime: Runtime) -> Iterator[tuple[int, float]]:
     """Execute a complete GRAFT plan, yielding (doc_id, score) pairs in
-    ascending document order."""
-    root, score_index = _start(plan, runtime)
+    ascending document order: the one pull loop, under :func:`execute`
+    too.
+
+    Under a resource guard with ``on_limit="partial"``, a tripped limit
+    ends the stream early (``runtime.guard.tripped`` names the limit);
+    with ``on_limit="error"`` the trip propagates.  An attached tracer
+    times the stream from its first pull to its end.
+    """
     guard = runtime.guard
-    governed = guard.active
-    while True:
-        group = pull_doc(root)
-        if group is None:
-            return
-        if governed:
-            guard.tick()
-        doc, rows = group
-        for row in rows:
-            yield doc, row[score_index]
+    tracer = runtime.tracer
+    if tracer is not None:
+        tracer.begin()
+    try:
+        root, score_index = _start(plan, runtime)
+        governed = guard.active
+        while True:
+            group = pull_doc(root)
+            if group is None:
+                return
+            if governed:
+                guard.tick()
+            doc, rows = group
+            for row in rows:
+                yield doc, row[score_index]
+    except ResourceExhaustedError:
+        if guard.on_limit != "partial":
+            raise
+    finally:
+        if tracer is not None:
+            tracer.finish()
 
 
 def rank_key(pair: tuple[int, float]) -> tuple[float, int]:
@@ -127,29 +144,7 @@ def execute(
     reorders scored ones.
     """
     validate_top_k(top_k)
-    results: list[tuple[int, float]] = []
-    guard = runtime.guard
-    tracer = runtime.tracer
-    if tracer is not None:
-        tracer.begin()
-    try:
-        root, score_index = _start(plan, runtime)
-        governed = guard.active
-        while True:
-            group = pull_doc(root)
-            if group is None:
-                break
-            if governed:
-                guard.tick()
-            doc, rows = group
-            for row in rows:
-                results.append((doc, row[score_index]))
-    except ResourceExhaustedError:
-        if guard.on_limit != "partial":
-            raise
-    finally:
-        if tracer is not None:
-            tracer.finish()
+    results = list(execute_streaming(plan, runtime))
     if top_k is not None:
         return heapq.nsmallest(top_k, results, key=rank_key)
     results.sort(key=rank_key)

@@ -88,3 +88,31 @@ def test_runtime_defaults_to_index_context(tiny_index):
     )
     assert isinstance(runtime.ctx, IndexScoringContext)
     assert runtime.ctx.index is tiny_index
+
+
+def test_streaming_honours_partial_limits_and_the_tracer():
+    """``execute_streaming`` is ``execute``'s pull loop: a partial trip ends
+    the stream (no exception) with the limit named, the pairs it yielded
+    rank to ``execute``'s partial answer, and a tracer times the stream."""
+    from repro.bench.workload import bench_fixture
+    from repro.exec.engine import rank_key
+    from repro.exec.limits import QueryLimits
+    from repro.obs.trace import Tracer
+
+    fx = bench_fixture(200)
+    scheme = get_scheme("sumbest")
+    res = Optimizer(scheme, fx.index).optimize(
+        parse_query("fault line", fx.collection.analyzer)
+    )
+    limits = QueryLimits(max_rows=5, on_limit="partial")
+    ranked_rt = make_runtime(fx.index, scheme, res.info, limits=limits)
+    ranked = execute(res.plan, ranked_rt)
+    assert ranked_rt.guard.tripped == "max_rows"
+    runtime = make_runtime(fx.index, scheme, res.info, limits=limits)
+    streamed = list(execute_streaming(res.plan, runtime))
+    assert runtime.guard.tripped == "max_rows"
+    assert ranked and sorted(streamed, key=rank_key) == ranked
+    tracer = Tracer()
+    runtime = make_runtime(fx.index, scheme, res.info, limits=limits, tracer=tracer)
+    list(execute_streaming(res.plan, runtime))
+    assert runtime.guard.tripped == "max_rows" and tracer.total_ns > 0
