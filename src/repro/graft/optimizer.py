@@ -147,6 +147,17 @@ class Optimizer:
                 return False
             return True
 
+        # A rule's ``before`` is usually the previous rule's ``after``:
+        # each plan object is estimated once (the dict holds the plans,
+        # so their ids stay theirs while it lives).
+        costs: dict[int, tuple[PlanNode, float | None]] = {}
+
+        def cost_of(plan: PlanNode) -> float | None:
+            known = costs.get(id(plan))
+            if known is None:
+                known = costs[id(plan)] = (plan, self._estimated_cost(plan))
+            return known[1]
+
         def fire(
             name: str, before: PlanNode, after: PlanNode, note: str = ""
         ) -> None:
@@ -160,8 +171,8 @@ class Optimizer:
                     applied=True,
                     verdict="allowed",
                     summary=summary,
-                    cost_before=self._estimated_cost(before),
-                    cost_after=self._estimated_cost(after),
+                    cost_before=cost_of(before),
+                    cost_after=cost_of(after),
                 )
             )
 
