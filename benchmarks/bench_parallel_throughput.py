@@ -2,21 +2,20 @@
 
 Four claims are measured over the paper's eight evaluation queries:
 
-* **Thread-sharded throughput** — one pass over the whole workload
-  executed serially and through
-  :func:`repro.exec.parallel.execute_sharded` at 2 and 4 shards.  The
-  result *rows* must be identical at every shard count (the
-  score-consistent merge is exact, not approximate), so the exported
-  records double as a correctness gate.  Wall-clock speedup is reported
-  next to ``os.cpu_count()``: thread parallelism is bounded by cores
-  and, for pure-Python operators, by the GIL — on a single-core runner
-  the expected speedup is ~1.0x and the honest number is recorded
-  rather than gamed (docs/PERFORMANCE.md).
+* **In-process shards give the serial rows** — one pass over the whole
+  workload executed unsharded and through
+  :func:`repro.exec.parallel.execute_sharded` (the shards one after
+  another in this process) at 2 and 4 shards.  The result *rows* must
+  be identical at every shard count (the score-consistent merge is
+  exact, not approximate), so the exported records double as a
+  correctness gate.  The wall time is the serial reference for the
+  process rows below, not a speedup claim.
 
 * **Process-sharded throughput** — the same pass through
   :func:`repro.exec.procpool.execute_sharded_process`: the packed index
-  published once in shared memory, one attach per worker process.  This
-  is the driver that escapes the GIL; rows must again be identical.
+  published once in shared memory, one attach per worker process, each
+  shard on its own core where the machine has them; rows must again be
+  identical.  Speedup is reported next to ``os.cpu_count()``.
 
 * **Packed decode** — the serial workload over the
   :class:`repro.index.packed.PackedIndex` decoding view, pinning the
@@ -189,7 +188,7 @@ def test_parallel_report(benchmark):
     serial = MEASURED[1]
     table_rows = [
         [
-            f"{n} shard{'s' if n > 1 else ''} (thread)",
+            f"{n} shards (in-process)" if n > 1 else "1 shard (serial)",
             f"{MEASURED[n] * 1000:.3f} ms",
             f"{len(PAPER_QUERIES) / MEASURED[n]:.1f} q/s",
             f"{serial / MEASURED[n]:.2f}x",

@@ -94,13 +94,13 @@ class SearchOutcome:
     optimized plan diverged from the canonical plan; None when auditing
     is off or this query was not sampled.
 
-    ``shard_count``/``shards_pruned`` describe parallel execution: how
+    ``shard_count``/``shards_pruned`` describe sharded execution: how
     many index shards the engine was configured with and how many of
-    them partition pruning skipped (1 and 0 for serial execution).
-    ``executor`` names what actually ran this query — ``"serial"``,
-    ``"thread"``, or ``"process"`` — which can differ from the engine's
-    configured executor when a process query ran in-process
-    (docs/PERFORMANCE.md).  ``plan_cached`` is
+    them partition pruning skipped (1 and 0 for unsharded execution).
+    ``executor`` names what actually ran this query — ``"serial"`` (this
+    process) or ``"process"`` (worker processes) — which can differ from
+    the engine's configured executor when a process query ran
+    in-process (docs/PERFORMANCE.md).  ``plan_cached`` is
     True when parse+optimize was skipped via the plan cache;
     ``result_cached`` is True when the whole outcome was answered from
     the result cache (no execution happened at all).
@@ -168,26 +168,26 @@ class SearchEngine:
                 offered to it (sampling and the slow-query override are
                 the log's own policy).
             shards: Partition the index into this many contiguous
-                doc-id ranges and execute plans shard-parallel with a
-                score-consistent top-k merge (docs/PERFORMANCE.md).
-                ``None`` reads the ``REPRO_SHARDS`` environment variable
-                (default 1 = serial).  Fault-injected searches always
-                run serially (deterministic fault counters).
+                doc-id ranges, execute the plan once per shard and merge
+                the rankings with a score-consistent top-k merge
+                (docs/PERFORMANCE.md).  ``None`` reads the
+                ``REPRO_SHARDS`` environment variable (default 1 =
+                unsharded).  Fault-injected searches always run
+                unsharded (deterministic fault counters).
             cache: Two-tier query cache capacities
                 (:class:`repro.exec.cache.CacheConfig`).  ``None``
                 enables the default plan cache with the result cache
                 off; pass :meth:`CacheConfig.off` to disable both.
-            executor: Backend for sharded plans: ``"thread"``
-                (in-process pool), ``"process"`` (worker processes
-                attached to a shared-memory packed index — the only
-                one that escapes the GIL; docs/PERFORMANCE.md), or
-                ``"serial"`` (pin execution serial even when
-                ``shards > 1``).  ``None`` reads the ``REPRO_EXEC``
-                environment variable (default thread).  A process query
-                runs in-process instead — recorded on the
-                ``graft_proc_fallbacks_total`` metric — for engines
-                with a scoring-context override, and where shared
-                memory or worker processes are unavailable.
+            executor: Backend for sharded plans: ``"serial"`` (the
+                shards run in this process, one after another) or
+                ``"process"`` (worker processes attached to a
+                shared-memory packed index; docs/PERFORMANCE.md).
+                ``None`` reads the ``REPRO_EXEC`` environment variable
+                (default serial).  A process query runs in-process
+                instead — recorded on the ``graft_proc_fallbacks_total``
+                metric — for engines with a scoring-context override,
+                and where shared memory or worker processes are
+                unavailable.
         """
         self.collection = (
             collection if collection is not None else DocumentCollection(analyzer)
@@ -267,7 +267,7 @@ class SearchEngine:
 
     @property
     def shards(self) -> int:
-        """Shard count used for plan execution (1 = serial)."""
+        """Shard count used for plan execution (1 = unsharded)."""
         return self._shards
 
     @shards.setter
@@ -280,7 +280,7 @@ class SearchEngine:
 
     @property
     def executor(self) -> str:
-        """Parallel execution driver: serial, thread, or process."""
+        """Sharded execution driver: serial or process."""
         return self._executor
 
     @executor.setter
@@ -1176,13 +1176,13 @@ def _resolve_shards(shards: int | None) -> int:
     )
 
 
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 def _resolve_executor(executor: str | None) -> str:
     """Validate an explicit executor name, or read ``REPRO_EXEC``."""
     return _resolve_option(
-        executor, "executor", "REPRO_EXEC", "thread", str.lower,
+        executor, "executor", "REPRO_EXEC", "serial", str.lower,
         lambda name: name in _EXECUTORS,
         f"one of {', '.join(_EXECUTORS)}",
     )

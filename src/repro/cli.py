@@ -63,13 +63,14 @@ def _add_sharding_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shards", type=int, default=None,
                    help="execute plans across N contiguous doc-id shards "
                         "with a score-consistent top-k merge (default: "
-                        "REPRO_SHARDS or 1 = serial)")
-    p.add_argument("--executor", choices=("serial", "thread", "process"),
-                   default=None,
-                   help="backend for sharded execution: thread pool, "
-                        "worker processes over a shared-memory packed "
-                        "index, or pinned serial (default: REPRO_EXEC or "
-                        "thread)")
+                        "REPRO_SHARDS or 1 = unsharded)")
+    # Validated by the engine's resolver, so a bad name is the same
+    # typed ConfigError from the flag, REPRO_EXEC and ServiceConfig.
+    p.add_argument("--executor", metavar="{serial,process}", default=None,
+                   help="backend for sharded execution: the shards one "
+                        "after another in this process, or worker "
+                        "processes over a shared-memory packed index "
+                        "(default: REPRO_EXEC or serial)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -463,7 +464,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 audit_event.to_dict() if audit_event is not None else None
             ),
         }
-        if run.executor != "serial":
+        if run.shard_count > 1:
             payload.update(shards=run.shard_count,
                            shards_pruned=run.shards_pruned,
                            executor=run.executor)
@@ -476,7 +477,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print("no matches")
     for rank, (doc, score) in enumerate(ranked, start=1):
         print(f"{rank:3}. {score:10.4f}  [{doc}] {title_of(doc)}")
-    if run.executor != "serial":
+    if run.shard_count > 1:
         print(f"({run.shard_count} shards, {run.shards_pruned} pruned, "
               f"{run.executor} executor)", file=sys.stderr)
     if trace_root is not None:

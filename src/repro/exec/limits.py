@@ -106,6 +106,7 @@ class QueryGuard:
         "deadline_checks",
         "_clock",
         "_deadline",
+        "_deadline_at",
         "_max_rows",
         "_doc_cap",
         "_ticks",
@@ -117,6 +118,8 @@ class QueryGuard:
         self,
         limits: QueryLimits | None = None,
         clock: Callable[[], float] = time.monotonic,
+        *,
+        deadline_at: float | None = None,
     ):
         self.limits = limits if limits is not None else QueryLimits()
         self.active = not self.limits.unlimited
@@ -132,21 +135,25 @@ class QueryGuard:
         self._ticks = 0
         self._doc: int | None = None
         self._doc_rows = 0
+        #: An absolute deadline (one instant shared by every shard of a
+        #: query) is installed once; ``start()`` leaves it alone.
+        self._deadline_at = deadline_at
         self._deadline: float | None = None
-        if self.limits.deadline_ms is not None:
-            self._deadline = clock() + self.limits.deadline_ms / 1000.0
+        self.start()
 
     @property
     def on_limit(self) -> str:
         return self.limits.on_limit
 
     def start(self) -> None:
-        """(Re-)arm the deadline relative to now.
+        """(Re-)arm the deadline relative to now, unless it is absolute.
 
         Called by the engine when plan execution begins, so time spent
         parsing and optimizing does not count against the deadline.
         """
-        if self.limits.deadline_ms is not None:
+        if self._deadline_at is not None:
+            self._deadline = self._deadline_at
+        elif self.limits.deadline_ms is not None:
             self._deadline = self._clock() + self.limits.deadline_ms / 1000.0
 
     # -- charge sites ------------------------------------------------------

@@ -1,21 +1,21 @@
-"""The plan runner: serial inline, or sharded with an exact top-k merge.
+"""The plan runner: inline, or sharded with an exact top-k merge.
 
 One *logical* plan (optimized once, against the global index, so every
 shard runs the exact plan serial execution would run) has one physical
 seam, written once:
 
 * :func:`run_plan` — what ``SearchEngine.search`` and ``repro search``
-  call: serial inline, or sharded through :func:`run_shards`, and the
-  one place a query that asked for worker processes is sent back to
-  this process (counted on ``graft_proc_fallbacks_total``).
+  call: inline for one shard, else sharded through :func:`run_shards`,
+  and the one place a query that asked for worker processes is sent
+  back to this process (counted on ``graft_proc_fallbacks_total``).
 * :func:`run_shards` — the shard protocol (prune, one absolute deadline,
   split ``max_rows``, submit, collect, heap-merge, fold metrics),
   parameterized only by a *backend*: ``submit(shard, limits,
-  deadline_at) -> Future`` and ``cancel()``.  :class:`ThreadBackend` is
-  here; :class:`repro.exec.procpool.ProcessBackend` runs shards on
-  worker processes (1.5x serial on graftbench, where threads measure
-  0.85x under the GIL — threads are the in-process fallback and the
-  tests' reference for the merge, not a way to go faster).
+  deadline_at) -> Future`` and ``name``.  :class:`InProcessBackend` is
+  here and runs the shards in this process one after another — the
+  ``serial`` executor, and the tests' reference for the merge;
+  :class:`repro.exec.procpool.ProcessBackend` runs them on worker
+  processes (1.5x serial on graftbench).
 * :func:`run_shard` — the per-shard body both backends execute over the
   shard's slice of the postings lists, scoring through the *global*
   :class:`repro.sa.context.ScoringContext`; returns one picklable
@@ -43,33 +43,25 @@ Resource governance composes with sharding:
 * ``max_matches_per_doc`` is per-document and documents never span
   shards, so it passes through unchanged.
 
-Failure semantics mirror the serial engine: with ``on_limit="partial"``
-each tripped shard contributes the correctly-ranked prefix it scored
-and the merged outcome is flagged degraded; with ``on_limit="error"``
-(and for non-resource errors such as operator faults) the first failure
-stops the rest — queued shards are cancelled, running in-process shards
-see a shared cancellation token at their guard tick sites — and the
-first real error in shard order propagates, never a secondary
-cancellation.
+A shard's guard is active only when the query has limits, as in serial
+execution.  Failure semantics mirror the serial engine: with
+``on_limit="partial"`` each tripped shard contributes the
+correctly-ranked prefix it scored and the merged outcome is flagged
+degraded; with ``on_limit="error"`` (and for non-resource errors such as
+operator faults) no shard is submitted after the first failed one,
+queued ones are cancelled, and the first error in shard order
+propagates as itself.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 import warnings
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    CancelledError,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, Future, wait
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from repro.errors import ResourceExhaustedError
 from repro.exec.engine import execute, make_runtime, rank_key
 from repro.exec.iterator import ExecutionMetrics, Runtime
 from repro.exec.limits import QueryGuard, QueryLimits
@@ -86,14 +78,6 @@ if TYPE_CHECKING:
     from repro.exec.procpool import ProcessShardPool
     from repro.index.packed import PackedIndex
     from repro.obs.trace import TraceNode
-
-#: Guard-trip name used when a sibling shard's failure cancels this one.
-CANCELLED = "cancelled"
-
-
-class ShardCancelledError(ResourceExhaustedError):
-    """This shard was stopped because a sibling shard failed first."""
-
 
 def required_keywords(plan: PlanNode) -> frozenset[str]:
     """Keywords every match of ``plan`` must contain.
@@ -123,69 +107,16 @@ def required_keywords(plan: PlanNode) -> frozenset[str]:
     return out
 
 
-class ShardGuard(QueryGuard):
-    """A :class:`QueryGuard` for one shard of a parallel query.
-
-    Differences from the serial guard:
-
-    * the deadline is an **absolute** instant shared by all shards,
-      installed once (``start()`` has nothing to re-arm);
-    * a shared cancellation token is checked at every deadline-check
-      site, so a failing sibling stops this shard within one
-      ``DEADLINE_CHECK_INTERVAL`` of charged rows;
-    * the guard is always active — cancellation must be observed even
-      for queries with no configured limits.
-    """
-
-    __slots__ = ("_cancel",)
-
-    def __init__(
-        self,
-        limits: QueryLimits | None = None,
-        deadline_at: float | None = None,
-        cancel: threading.Event | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        super().__init__(limits, clock)
-        self._cancel = cancel
-        self.active = True
-        if deadline_at is not None:
-            self._deadline = deadline_at
-        elif cancel is not None and self._deadline is None:
-            # No deadline configured: install an unreachable one so the
-            # periodic check sites still fire and observe cancellation.
-            self._deadline = float("inf")
-
-    def start(self) -> None:
-        """Nothing to re-arm: the deadline is absolute."""
-
-    def check_deadline(self) -> None:
-        if self._cancel is not None and self._cancel.is_set():
-            self._trip(
-                CANCELLED,
-                ShardCancelledError(
-                    "shard cancelled after a sibling shard failed",
-                    limit=CANCELLED,
-                ),
-            )
-        super().check_deadline()
-
-
-#: Builds one shard's guard from ``(shard_id, limits, deadline_at,
-#: cancel)``; overridable for deterministic tests (e.g. a fake clock that
-#: expires mid-query in exactly one shard).
-GuardFactory = Callable[
-    [int, QueryLimits | None, "float | None", threading.Event], QueryGuard
-]
+#: Builds one shard's guard from ``(shard_id, limits, deadline_at)``;
+#: overridable for deterministic tests (e.g. a fake clock that expires
+#: mid-query in exactly one shard).
+GuardFactory = Callable[[int, QueryLimits | None, "float | None"], QueryGuard]
 
 
 def _default_guard_factory(
-    shard_id: int,
-    limits: QueryLimits | None,
-    deadline_at: float | None,
-    cancel: threading.Event,
+    shard_id: int, limits: QueryLimits | None, deadline_at: float | None
 ) -> QueryGuard:
-    return ShardGuard(limits, deadline_at=deadline_at, cancel=cancel)
+    return QueryGuard(limits, deadline_at=deadline_at)
 
 
 def split_limits(
@@ -236,7 +167,7 @@ class ShardTask(NamedTuple):
 @dataclass
 class ShardRun:
     """What one shard's execution produced — the one payload a backend
-    returns, from a pool thread or pickled out of a worker process."""
+    returns, in this process or pickled out of a worker process."""
 
     shard_id: int
     lo: int
@@ -263,7 +194,8 @@ class ParallelResult:
     #: root holding one per-shard subtree, and the traced wall time.
     trace_root: "TraceNode | None" = None
     wall_ms: float | None = None
-    #: What actually ran the plan: ``serial``, ``thread`` or ``process``.
+    #: What actually ran the plan: ``serial`` (this process) or
+    #: ``process`` (worker processes).
     executor: str = "serial"
 
 
@@ -289,7 +221,7 @@ def _tracer(profile: bool):
 def run_shard(
     shard: ShardView, ctx: ScoringContext, task: ShardTask, guard: QueryGuard
 ) -> ShardRun:
-    """The per-shard body: the same code on a pool thread and inside a
+    """The per-shard body: the same code in this process and inside a
     worker process.
 
     ``ctx`` must be the *global* scoring context — a shard-local context
@@ -323,18 +255,16 @@ def run_shard(
 
 
 @dataclass
-class ThreadBackend:
-    """Shards on pool threads of this process: the only backend with a
-    cancellation token every running shard can see, and with the
-    ``guard_factory`` test seam (a closure cannot cross a process
-    boundary)."""
+class InProcessBackend:
+    """Shards in this process, one after another: each runs inside
+    :meth:`submit`, which returns an already-finished future.  The only
+    backend with the ``guard_factory`` test seam (a closure cannot cross
+    a process boundary)."""
 
-    pool: ThreadPoolExecutor
     ctx: ScoringContext
     task: ShardTask
     guard_factory: GuardFactory = _default_guard_factory
-    token: threading.Event = field(default_factory=threading.Event)
-    name = "thread"
+    name = "serial"
 
     def submit(
         self,
@@ -342,13 +272,13 @@ class ThreadBackend:
         limits: QueryLimits | None,
         deadline_at: float | None,
     ) -> Future:
-        guard = self.guard_factory(
-            shard.shard_id, limits, deadline_at, self.token
-        )
-        return self.pool.submit(run_shard, shard, self.ctx, self.task, guard)
-
-    def cancel(self) -> None:
-        self.token.set()
+        future: Future = Future()
+        try:
+            guard = self.guard_factory(shard.shard_id, limits, deadline_at)
+            future.set_result(run_shard(shard, self.ctx, self.task, guard))
+        except Exception as exc:  # re-raised by run_shards, in shard order
+            future.set_exception(exc)
+        return future
 
 
 def run_shards(
@@ -360,15 +290,16 @@ def run_shards(
     """The shard protocol, stated once for every backend.
 
     ``backend`` supplies ``submit(shard, limits, deadline_at) ->
-    Future[ShardRun]``, ``cancel()`` (stop shards already running, where
-    it can) and ``name``.  A query whose shards are all pruned is the
-    same path with nothing submitted: the provably empty result still
-    carries its trace root under profiling and reaches the registry.
+    Future[ShardRun]`` and ``name``.  No shard is submitted after one
+    whose future already failed, and a failure cancels what is still
+    queued; the first error in shard order is raised.  A query whose
+    shards are all pruned is the same path with nothing submitted: the
+    provably empty result still carries its trace root under profiling
+    and reaches the registry.
     """
-    # Shard bodies run where the caller's contextvars are not visible
-    # (pool threads, worker processes), so request telemetry is recorded
-    # here from the returned ShardRuns: "execute" covers pruning and the
-    # fan-out, "merge" the heap merge.
+    # Worker processes do not see the caller's contextvars, so request
+    # telemetry is recorded here from the returned ShardRuns: "execute"
+    # covers pruning and the fan-out, "merge" the heap merge.
     rt = _telemetry_current()
     with _maybe_span(rt, "execute"):
         live = sharded.live_shards(required_keywords(task.plan))
@@ -376,34 +307,17 @@ def run_shards(
         if limits is not None and limits.deadline_ms is not None:
             deadline_at = time.monotonic() + limits.deadline_ms / 1000.0
         futures: list[Future] = []
-
-        def stop() -> None:
-            backend.cancel()
-            for fut in futures:
-                fut.cancel()
-
         try:
             for shard, part in zip(live, split_limits(limits, len(live))):
-                futures.append(backend.submit(shard, part, deadline_at))
-        except BaseException:
-            stop()
-            raise
-        if wait(futures, return_when=FIRST_EXCEPTION).not_done:
-            stop()  # a shard failed while siblings were queued or running
-        runs: list[ShardRun] = []
-        errors: list[BaseException] = []
-        for fut in futures:
-            try:
-                runs.append(fut.result())
-            except BaseException as exc:  # re-raised below, in shard order
-                errors.append(exc)
-    if errors:
-        # The originating failure, not a secondary cancellation: the
-        # caller sees the exception serial execution would raise.
-        secondary = (CancelledError, ShardCancelledError)
-        raise next(
-            (e for e in errors if not isinstance(e, secondary)), errors[0]
-        )
+                future = backend.submit(shard, part, deadline_at)
+                futures.append(future)
+                if future.done() and future.exception() is not None:
+                    break
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            for future in futures:
+                future.cancel()  # only what has not started yet
+        runs: list[ShardRun] = [future.result() for future in futures]
 
     if rt is not None:
         for run in runs:
@@ -446,16 +360,14 @@ def execute_sharded(
     profile: bool = False,
     guard_factory: GuardFactory | None = None,
 ) -> ParallelResult:
-    """Run one optimized plan across all shards on threads of this
-    process and merge the rankings (``ctx``: see :func:`run_shard`)."""
+    """Run one optimized plan across all shards in this process, one
+    after another, and merge the rankings (``ctx``: see
+    :func:`run_shard`)."""
     task = ShardTask(plan, scheme, info, top_k, profile)
-    with ThreadPoolExecutor(
-        max_workers=sharded.num_shards, thread_name_prefix="graft-shard"
-    ) as pool:
-        backend = ThreadBackend(
-            pool, ctx, task, guard_factory or _default_guard_factory
-        )
-        return run_shards(backend, sharded, task, limits)
+    backend = InProcessBackend(
+        ctx, task, guard_factory or _default_guard_factory
+    )
+    return run_shards(backend, sharded, task, limits)
 
 
 def note_fallback(reason: str, exc: BaseException | None = None) -> None:
@@ -538,11 +450,11 @@ def run_plan(
     """Execute one optimized plan; the one runner under engine and CLI.
 
     ``executor`` / ``shards`` are what was asked for, the result's
-    ``executor`` is what ran: serial inline for one shard, for
-    ``serial``, and whenever ``faults`` is set (fail-at-Nth-call
-    counters are only deterministic when exactly one plan executes);
-    otherwise sharded, on worker processes for ``process`` unless
-    :func:`_run_on_processes` sends it back, else on threads.
+    ``executor`` is what ran: inline for one shard and whenever
+    ``faults`` is set (fail-at-Nth-call counters are only deterministic
+    when exactly one plan executes); otherwise sharded, on worker
+    processes for ``process`` unless :func:`_run_on_processes` sends it
+    back, else in this process one shard after another (``serial``).
 
     ``ctx`` is a scoring-context *override* (None: the index's own
     statistics).  ``sharded`` and ``pool`` let a long-lived caller reuse
@@ -550,7 +462,7 @@ def run_plan(
     start has failed); without them a view is cut and a one-shot pool
     started and closed here.
     """
-    if shards <= 1 or executor == "serial" or faults is not None:
+    if shards <= 1 or faults is not None:
         tracer = _tracer(profile)
         runtime = make_runtime(
             index, scheme, info, ctx,

@@ -1,10 +1,10 @@
 """The process backend: shards on worker processes over a shared-memory
 packed index.
 
-CPython's GIL serializes the thread backend's workers (0.85x serial on
-this repo's own benchmark).  This module gives the one shard driver
-(:func:`repro.exec.parallel.run_shards`) real OS processes — no shared
-GIL — without pickling the index:
+The one shard driver (:func:`repro.exec.parallel.run_shards`) runs
+shards in this process one after another (the ``serial`` executor) or,
+through this module, on real OS processes that each hold their own GIL
+— without pickling the index:
 
 1. :class:`SharedIndexPublication` copies one packed blob (the bytes
    the engine's :class:`repro.index.packed.PackedIndex` already serves
@@ -18,8 +18,10 @@ GIL — without pickling the index:
    decoded postings.
 3. :class:`ProcessBackend` ships each live shard's small picklable
    :class:`repro.exec.parallel.ShardTask` to a worker, which runs the
-   per-shard body the thread backend runs
-   (:func:`repro.exec.parallel.run_shard`) and returns the same
+   per-shard body the in-process backend runs
+   (:func:`repro.exec.parallel.run_shard`) under a
+   :class:`repro.exec.limits.QueryGuard` holding the query's absolute
+   deadline, and returns the same
    :class:`repro.exec.parallel.ShardRun` — under profiling with the
    shard's trace subtree.  Everything else is the driver's.
 
@@ -30,12 +32,11 @@ ranges are computed by the same integer arithmetic on both sides — so
 the merged ranking is bit-identical to serial execution, which the
 hypothesis suite and the strict audit gate assert over this path.
 
-The one difference from the thread backend, by necessity: there is **no
-cross-process cancellation token**.  The shared absolute deadline still
-bounds every worker, but a failure in one shard cannot interrupt
-siblings mid-plan — queued tasks are cancelled and the first real error
-is re-raised once running ones return, as itself: every class in
-:mod:`repro.errors` pickles with its extra attributes.
+Nothing reaches a worker that is already running a shard: the shared
+absolute deadline bounds every worker, a failure in one shard cancels
+the tasks still queued, and the first error is re-raised once running
+ones return, as itself — every class in :mod:`repro.errors` pickles
+with its extra attributes.
 
 Worker lifecycle is tied to the index generation that published the
 blob: the engine builds one pool per sealed generation, and closing it
@@ -50,10 +51,9 @@ import pickle
 import weakref
 from concurrent.futures import Future
 
-from repro.exec.limits import QueryLimits
+from repro.exec.limits import QueryGuard, QueryLimits
 from repro.exec.parallel import (
     ParallelResult,
-    ShardGuard,
     ShardRun,
     ShardTask,
     run_shard,
@@ -178,7 +178,7 @@ def _shard_task(
     _, _, ctx, sharded = _attach(shm_name, untrack_shm, num_shards)
     return run_shard(
         sharded.shards[shard_id], ctx, task,
-        ShardGuard(limits, deadline_at=deadline_at),
+        QueryGuard(limits, deadline_at=deadline_at),
     )
 
 
@@ -320,10 +320,6 @@ class ProcessBackend:
         return self._pool.submit(
             shard.shard_id, self._task, limits, deadline_at
         )
-
-    def cancel(self) -> None:
-        """Nothing reaches a running worker; the driver cancels what is
-        still queued and the shared deadline bounds the rest."""
 
 
 def execute_sharded_process(

@@ -505,7 +505,7 @@ def proc_queries(registry: MetricsRegistry = REGISTRY) -> MetricFamily:
 def proc_fallbacks(registry: MetricsRegistry = REGISTRY) -> MetricFamily:
     return registry.counter(
         "graft_proc_fallbacks_total",
-        "Process-pool queries that fell back to the thread path",
+        "Process-pool queries that ran their shards in-process instead",
         labelnames=("reason",),
     )
 

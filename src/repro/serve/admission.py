@@ -79,13 +79,13 @@ class ServiceConfig:
             ``POST /admin/checkpoint``.
         shards: Shard count for reader engines (None = ``REPRO_SHARDS``
             or serial).
-        executor: Parallel execution driver for reader engines:
-            ``"serial"``, ``"thread"``, or ``"process"`` (worker
-            processes over a shared-memory packed index;
-            docs/PERFORMANCE.md).  None keeps the engine default
-            (``REPRO_EXEC`` or thread).  Each reader generation owns
-            its worker pool; the hot swap retires the pool with the
-            generation once inflight requests drain.
+        executor: Sharded execution driver for reader engines:
+            ``"serial"`` (the shards one after another in the serving
+            process) or ``"process"`` (worker processes over a
+            shared-memory packed index; docs/PERFORMANCE.md).  None
+            keeps the engine default (``REPRO_EXEC`` or serial).  Each
+            reader generation owns its worker pool; the hot swap retires
+            the pool with the generation once inflight requests drain.
         executor_workers: Search thread-pool width (default
             ``max_inflight``).
         telemetry: Request telemetry (correlation ids, phase spans,

@@ -330,8 +330,8 @@ class QueryService:
         if engine.executor == "process" and engine.shards > 1:
             # Pay the pack+publish+fork cost here, off the request
             # path, exactly like the force-built index above; a pool
-            # that cannot start degrades to threads with a warning now
-            # instead of on the first query.
+            # that cannot start degrades to in-process shards with a
+            # warning now instead of on the first query.
             engine._process_pool()
         # shards=1 explicitly: the degraded path must stay serial even
         # when REPRO_SHARDS is set in the environment.

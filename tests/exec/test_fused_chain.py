@@ -65,7 +65,7 @@ def _memory_engine() -> SearchEngine:
 
 @lru_cache(maxsize=None)
 def _sharded_engine() -> SearchEngine:
-    return SearchEngine(corpus(), shards=2, executor="thread")
+    return SearchEngine(corpus(), shards=2, executor="serial")
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ def test_fused_equals_unfused_on_every_substrate(name, scheme, packed_engine):
         assert_same_run(fused, engine.search(text, scheme=scheme, profile=True), blocked)
     sharded = _sharded_engine()
     fused = sharded.search(text, scheme=scheme)
-    assert fused.executor == "thread" and fused.shard_count == 2
+    assert fused.executor == "serial" and fused.shard_count == 2
     assert_same_run(fused, sharded.search(text, scheme=scheme, profile=True), blocked)
     # Sharding never changes an answer either (global scoring context).
     assert answer(fused) == answer(_memory_engine().search(text, scheme=scheme))

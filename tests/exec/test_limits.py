@@ -125,6 +125,18 @@ def test_start_rearms_deadline():
     guard.check_deadline()
 
 
+def test_start_keeps_an_absolute_deadline():
+    # A shard's deadline is one instant shared by the whole query: arming
+    # the shard's plan late must not extend it.
+    clock = FakeClock()
+    limits = QueryLimits(deadline_ms=100)
+    guard = QueryGuard(limits, clock=clock, deadline_at=clock.now + 0.1)
+    clock.now += 10.0
+    guard.start()
+    with pytest.raises(QueryTimeoutError):
+        guard.check_deadline()
+
+
 def test_doc_cap_resets_per_document():
     guard = QueryGuard(QueryLimits(max_matches_per_doc=3))
     for doc in (1, 2, 3):

@@ -7,11 +7,12 @@ serial engine returns — same documents, same scores, same order.  It is
 checked exhaustively over the tiny suite and generatively over random
 corpora with hypothesis.
 
-There is one driver (``run_shards``) and two backends, so the protocol
-tests — equals-serial, ``top_k`` truncation, pruning, all-pruned with
-and without profiling, the ``max_rows`` split — are one body run over
-both (the ``sharded`` fixture); the process leg skips where worker
-processes cannot start.
+There is one driver (``run_shards``) and two executors — ``serial``
+(the shards in this process, one after another) and ``process`` — so
+the protocol tests — equals-serial, ``top_k`` truncation, pruning,
+all-pruned with and without profiling, the ``max_rows`` split — are one
+body run over both (the ``sharded`` fixture); the process leg skips
+where worker processes cannot start.
 
 Resource-governance composition is tested through the ``guard_factory``
 seam, which only the in-process backend has (a closure cannot cross the
@@ -31,7 +32,7 @@ from repro.errors import QueryTimeoutError
 from repro.exec.engine import execute, make_runtime
 from repro.exec.limits import QueryGuard, QueryLimits
 from repro.exec.parallel import (
-    ShardGuard,
+    _default_guard_factory,
     execute_sharded,
     merge_ranked,
     required_keywords,
@@ -85,11 +86,11 @@ def tiny_pools(tiny_index):
         pool.close()
 
 
-@pytest.fixture(params=("thread", "process"))
+@pytest.fixture(params=("serial", "process"))
 def sharded(request, tiny_index, tiny_ctx, tiny_pools):
     """``run(scheme, result, shards, **kw)`` over the tiny index on one
     backend of the shard driver."""
-    if request.param == "thread":
+    if request.param == "serial":
         return lambda scheme, result, shards, **kw: _sharded(
             tiny_index, tiny_ctx, scheme, result, shards, **kw
         )
@@ -283,26 +284,23 @@ def test_merge_ranked_is_exact_sort():
 # -- resource governance across shards ------------------------------------
 
 
-class _ExpiredClockGuard(ShardGuard):
+class _ExpiredClockGuard(QueryGuard):
     """A shard guard whose clock is always past the deadline and whose
     check interval is one row, so the first charge site trips."""
 
     DEADLINE_CHECK_INTERVAL = 1
 
-    def __init__(self, limits, deadline_at, cancel):
+    def __init__(self, limits, deadline_at):
         super().__init__(
-            limits,
-            deadline_at=deadline_at,
-            cancel=cancel,
-            clock=lambda: float("inf"),
+            limits, clock=lambda: float("inf"), deadline_at=deadline_at
         )
 
 
 def _one_slow_shard_factory(slow_shard: int):
-    def factory(shard_index, limits, deadline_at, cancel):
+    def factory(shard_index, limits, deadline_at):
         if shard_index == slow_shard:
-            return _ExpiredClockGuard(limits, deadline_at, cancel)
-        return ShardGuard(limits, deadline_at=deadline_at, cancel=cancel)
+            return _ExpiredClockGuard(limits, deadline_at)
+        return QueryGuard(limits, deadline_at=deadline_at)
 
     return factory
 
@@ -364,21 +362,16 @@ def test_max_rows_budget_splits_across_shards(
         assert serial[doc] == score
 
 
-def test_default_guards_are_shard_guards(
+def test_unlimited_shards_run_ungoverned_like_serial(
     tiny_collection, tiny_index, tiny_ctx
 ):
-    # The default factory must produce always-active guards so a sibling
-    # failure can cancel a shard even on an unlimited query.
+    # No limits, nothing to govern: each shard's guard is inactive and
+    # charges nothing, exactly like the serial engine's.
     guards = []
 
-    def spy(shard_index, limits, deadline_at, cancel):
-        from repro.exec.parallel import _default_guard_factory
-
-        guard = _default_guard_factory(
-            shard_index, limits, deadline_at, cancel
-        )
-        guards.append(guard)
-        return guard
+    def spy(shard_index, limits, deadline_at):
+        guards.append(_default_guard_factory(shard_index, limits, deadline_at))
+        return guards[-1]
 
     query = parse_query("quick fox", tiny_collection.analyzer)
     scheme = get_scheme("sumbest")
@@ -386,6 +379,35 @@ def test_default_guards_are_shard_guards(
     par = _sharded(
         tiny_index, tiny_ctx, scheme, result, 2, guard_factory=spy
     )
-    assert par.results
-    assert guards and all(isinstance(g, QueryGuard) for g in guards)
-    assert all(g.active for g in guards)
+    runtime = make_runtime(tiny_index, scheme, result.info, tiny_ctx)
+    assert par.results == execute(result.plan, runtime)
+    assert guards and not any(guard.active for guard in guards)
+    assert par.metrics.rows_charged == runtime.guard.rows_charged == 0
+
+
+def test_failed_shard_stops_later_shards_on_error_mode(
+    tiny_collection, tiny_index, tiny_ctx
+):
+    # Shards run one after another: once shard 1 raises, shard 2 is
+    # never built, and the error is shard 1's own.
+    slow = _one_slow_shard_factory(1)
+    built = []
+
+    def spy(shard_index, limits, deadline_at):
+        built.append(shard_index)
+        return slow(shard_index, limits, deadline_at)
+
+    query = parse_query("quick (fox | dog)", tiny_collection.analyzer)
+    scheme = get_scheme("sumbest")
+    result = Optimizer(scheme, tiny_index).optimize(query)
+    live = ShardedIndex(tiny_index, 3).live_shards(
+        required_keywords(result.plan)
+    )
+    assert len(live) == 3  # nothing pruned: shard 2 would run
+    limits = QueryLimits(deadline_ms=60_000.0, on_limit="error")
+    with pytest.raises(QueryTimeoutError):
+        _sharded(
+            tiny_index, tiny_ctx, scheme, result, 3,
+            limits=limits, guard_factory=spy,
+        )
+    assert built == [0, 1]

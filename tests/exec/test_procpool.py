@@ -236,21 +236,21 @@ def _trace_shape(node):
 
 def test_engine_profile_stays_on_processes(tiny_collection):
     """Workers return their trace subtree: a profiled process search is
-    a process search, with the tree the thread backend builds."""
+    a process search, with the tree the in-process shards build."""
     engine = _engine_pair(tiny_collection)
-    threads = SearchEngine(tiny_collection, shards=2, executor="thread")
+    in_process = SearchEngine(tiny_collection, shards=2, executor="serial")
     try:
         for text in ("quick fox", "quick (fox | dog)", "quick zebra"):
             out = engine.search(text, profile=True)
-            ref = threads.search(text, profile=True)
+            ref = in_process.search(text, profile=True)
             assert out.executor == "process"
-            assert ref.executor == "thread"
+            assert ref.executor == "serial"
             assert out.stats.op_name == "ParallelMerge"
             assert _trace_shape(out.stats) == _trace_shape(ref.stats)
             assert out.wall_ms is not None
     finally:
         engine.close()
-        threads.close()
+        in_process.close()
 
 
 def test_engine_add_invalidates_pool():
@@ -280,11 +280,12 @@ def test_engine_executor_setter_lifecycle(tiny_collection):
         assert pool.closed and engine._procpool is None
         out = engine.search("quick dog")
         assert out.executor == "serial"
-        assert out.shard_count == 1
-        engine.executor = "thread"
-        out = engine.search("quick dog fox")
-        assert out.executor == "thread"
+        assert out.shard_count == 2  # the shards run in this process
         assert engine._procpool is None
+        engine.executor = "process"
+        out = engine.search("quick dog fox")
+        assert out.executor == "process"
+        assert engine._procpool is not None and engine._procpool is not pool
     finally:
         engine.close()
 
@@ -296,9 +297,34 @@ def test_engine_close_retires_pool(tiny_collection):
     assert pool.closed
 
 
+def test_fallback_runs_the_shards_in_process(tiny_collection, tiny_index):
+    """A process query sent back to this process still runs sharded,
+    one shard after another, and says so: executor ``serial``."""
+    from repro.obs.metrics import REGISTRY, proc_fallbacks
+
+    fallbacks = proc_fallbacks(REGISTRY).labels(reason="ctx_override")
+    engine = SearchEngine(
+        tiny_collection, shards=2, executor="process",
+        scoring_context=IndexScoringContext(tiny_index),
+    )
+    unsharded = SearchEngine(tiny_collection, shards=1)
+    try:
+        before = fallbacks.value
+        out = engine.search("quick fox")
+        assert (out.executor, out.shard_count) == ("serial", 2)
+        assert fallbacks.value == before + 1
+        assert engine._procpool is None
+        ref = unsharded.search("quick fox")
+        assert [(r.doc_id, r.score) for r in out.results] == \
+            [(r.doc_id, r.score) for r in ref.results]
+    finally:
+        engine.close()
+        unsharded.close()
+
+
 def test_resolve_executor_env(monkeypatch):
     monkeypatch.delenv("REPRO_EXEC", raising=False)
-    assert _resolve_executor(None) == "thread"
+    assert _resolve_executor(None) == "serial"
     monkeypatch.setenv("REPRO_EXEC", "process")
     assert _resolve_executor(None) == "process"
     monkeypatch.setenv("REPRO_EXEC", "bogus")
@@ -306,6 +332,14 @@ def test_resolve_executor_env(monkeypatch):
         _resolve_executor(None)
     with pytest.raises(ConfigError):
         _resolve_executor("fibers")
+    # The thread backend is gone: its name is a misconfiguration now,
+    # from the environment and from the keyword alike.
+    monkeypatch.setenv("REPRO_EXEC", "thread")
+    with pytest.raises(ConfigError, match="serial, process") as exc:
+        _resolve_executor(None)
+    assert exc.value.option == "REPRO_EXEC"
+    with pytest.raises(ConfigError, match="serial, process"):
+        _resolve_executor("thread")
 
 
 # -- generative equivalence ------------------------------------------------

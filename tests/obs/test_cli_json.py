@@ -64,8 +64,8 @@ def test_search_profile_json_has_trace(index_dir, capsys):
 def test_search_process_profile_json_keeps_executor_and_trace(
     index_dir, capsys
 ):
-    """Workers return their trace subtree, so --profile no longer sends
-    a process search back to threads."""
+    """Workers return their trace subtree, so --profile keeps a process
+    search on worker processes."""
     payload, err = _run_json(capsys, [
         "search", index_dir, "alpha beta", "--json", "--profile",
         "--shards", "2", "--executor", "process",
@@ -79,6 +79,38 @@ def test_search_process_profile_json_keeps_executor_and_trace(
     assert payload["wall_ms"] >= 0
     serial, _ = _run_json(capsys, ["search", index_dir, "alpha beta", "--json"])
     assert payload["results"] == serial["results"]
+
+
+def test_search_serial_shards_json_reports_the_shards(index_dir, capsys):
+    """In-process shards are sharded execution too: the payload names
+    the shard count and the executor, and the answer is the unsharded
+    one."""
+    payload, err = _run_json(capsys, [
+        "search", index_dir, "alpha beta", "--json",
+        "--shards", "2", "--executor", "serial",
+    ])
+    assert payload["executor"] == "serial"
+    assert payload["shards"] == 2
+    assert payload["shards_pruned"] == 0
+    assert err == ""
+    unsharded, _ = _run_json(capsys, [
+        "search", index_dir, "alpha beta", "--json", "--shards", "1",
+    ])
+    assert "shards" not in unsharded
+    assert payload["results"] == unsharded["results"]
+
+
+def test_search_thread_executor_is_a_config_error(
+    index_dir, capsys, monkeypatch
+):
+    argv = ["search", index_dir, "alpha beta", "--shards", "2"]
+    assert main([*argv, "--executor", "thread"]) == 2
+    err = capsys.readouterr().err
+    assert "executor: must be one of serial, process" in err
+    monkeypatch.setenv("REPRO_EXEC", "thread")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "REPRO_EXEC: must be one of serial, process" in err
 
 
 def test_search_audit_json(index_dir, capsys):

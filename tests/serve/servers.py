@@ -47,7 +47,7 @@ class ServeProcesses:
         config.setdefault("port", 0)
         # Explicit, so REPRO_EXEC=process (whose shard workers keep the
         # server at one process) cannot change what is under test.
-        config.setdefault("executor", "thread")
+        config.setdefault("executor", "serial")
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         self.proc = subprocess.Popen(

@@ -174,12 +174,19 @@ def test_successful_request_resets_consecutive_failure_count():
         {"checkpoint_every": -2},
         {"max_rows": 0},
         {"executor_workers": 0},
+        {"executor": "thread"},
     ],
 )
 def test_service_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError) as info:
         ServiceConfig(**kw)
     assert list(kw)[0] in str(info.value)
+
+
+def test_service_config_names_the_two_executors():
+    with pytest.raises(ConfigError, match="serial, process") as info:
+        ServiceConfig(executor="thread")
+    assert info.value.option == "executor"
 
 
 def test_service_config_limits_carry_the_remaining_budget():

@@ -269,7 +269,7 @@ def test_a_full_control_channel_delivers_every_release(tmp_path):
             socket.AF_UNIX, socket.SOCK_SEQPACKET
         )
         server = Supervisor(
-            QueryService(tmp_path, ServiceConfig(executor="thread")), 2
+            QueryService(tmp_path, ServiceConfig(executor="serial")), 2
         )
         child = _Child(_Channel(parent_end), "", GenerationPins(tmp_path))
         server.children.append(child)
@@ -309,7 +309,7 @@ def test_a_connection_a_child_cannot_take_now_stays_with_the_parent(
             socket.AF_UNIX, socket.SOCK_SEQPACKET
         )
         server = Supervisor(
-            QueryService(tmp_path, ServiceConfig(executor="thread")), 2
+            QueryService(tmp_path, ServiceConfig(executor="serial")), 2
         )
         child = _Child(_Channel(parent_end), "", GenerationPins(tmp_path))
         server.children.append(child)
@@ -363,7 +363,7 @@ def test_the_supervisor_forks_no_process_with_threads(tmp_path, monkeypatch):
         with pytest.raises(GraftError, match="before any thread"):
             run_server(
                 QueryService(tmp_path / "store",
-                             ServiceConfig(executor="thread")),
+                             ServiceConfig(executor="serial")),
             )
     finally:
         stop.set()
