@@ -29,9 +29,8 @@ from repro.errors import (
 from repro.exec.cache import CacheConfig, LRUCache
 from repro.exec.engine import make_runtime, validate_top_k
 from repro.exec.iterator import ExecutionMetrics, pull_doc
-from repro.exec.limits import QueryGuard, QueryLimits
+from repro.exec.limits import QueryLimits
 from repro.exec.parallel import ParallelResult, note_fallback, run_plan
-from repro.exec.topk import rank_join_applicable, rank_topk
 from repro.obs.telemetry import current as _telemetry_current
 from repro.obs.telemetry import maybe_span as _maybe_span
 
@@ -82,11 +81,10 @@ class SearchOutcome:
 
     ``rewrite_log`` is the optimizer's structured trace — one
     :class:`repro.obs.rewrite.RewriteEvent` per rule considered (empty
-    on the rank-join path and for unoptimized searches).  ``stats`` is
-    the per-operator execution trace tree
-    (:class:`repro.obs.trace.TraceNode`), populated only for
-    ``search(..., profile=True)``; ``wall_ms`` is the traced
-    execution's wall-clock time.
+    for unoptimized searches).  ``stats`` is the per-operator execution
+    trace tree (:class:`repro.obs.trace.TraceNode`), populated only for
+    ``search(..., profile=True)``; ``wall_ms`` is the traced execution's
+    wall-clock time.
 
     ``audit`` is the shadow-execution score-consistency verdict
     (:class:`repro.obs.audit.AuditEvent`) when this query was sampled by
@@ -383,7 +381,6 @@ class SearchEngine:
         top_k: int | None = None,
         optimize: bool = True,
         options: OptimizerOptions | None = None,
-        use_rank_join: bool = False,
         limits: QueryLimits | None = None,
         faults: "FaultInjector | None" = None,
         profile: bool = False,
@@ -397,9 +394,6 @@ class SearchEngine:
             optimize: False executes the canonical score-isolated plan
                 (useful for verification; potentially very slow).
             options: Optimizer toggles (benchmarking individual rewrites).
-            use_rank_join: Attempt the rank-join/rank-union top-k path;
-                silently falls back to full evaluation when the query or
-                scheme does not qualify.
             limits: Resource limits (deadline, row budget, per-document
                 match cap).  With ``on_limit="error"`` a tripped limit
                 raises :class:`repro.errors.ResourceExhaustedError` (or
@@ -411,9 +405,7 @@ class SearchEngine:
                 ``stats`` carries the per-operator trace tree (with
                 cost-model estimates annotated) and ``wall_ms`` the
                 traced wall time.  Adds per-row timing overhead; off by
-                default.  The rank-join path does not trace (its
-                operators bypass plan compilation) and leaves ``stats``
-                None.
+                default.
         """
         validate_top_k(top_k)
         # Request telemetry (docs/OBSERVABILITY.md Layer 6): one
@@ -439,8 +431,7 @@ class SearchEngine:
             )
 
         plain = (
-            not use_rank_join
-            and limits is None
+            limits is None
             and faults is None
             and not profile
             and self._auditor is None
@@ -485,30 +476,7 @@ class SearchEngine:
         if rt is not None:
             rt.note("plan_cached", cached_plan is not None)
             rt.note("generation", self._generation)
-        ctx = self.scoring_context()
         query_text = self._query_text(raw_query, query)
-
-        if use_rank_join and top_k is not None and rank_join_applicable(query, scheme):
-            guard = QueryGuard(limits)
-            started = time.perf_counter()
-            with _maybe_span(rt, "execute"):
-                pairs = rank_topk(
-                    query, scheme, self.index, top_k, ctx, guard=guard
-                )
-            elapsed = time.perf_counter() - started
-            run = ParallelResult(
-                pairs, ExecutionMetrics(rows_charged=guard.rows_charged),
-                guard.tripped,
-            )
-            outcome = self._outcome(run, ["rank-join-topk"], "")
-            with _maybe_span(rt, "audit"):
-                self._maybe_audit(
-                    query, query_text, scheme, ctx, outcome, top_k, faults
-                )
-            self._record_query(query_text, scheme.name, outcome, elapsed, top_k)
-            if outcome.audit is not None:
-                self._auditor.raise_if_strict(outcome.audit)
-            return outcome
 
         if result is None:
             optimizer = Optimizer(scheme, self.index, options)
@@ -557,7 +525,7 @@ class SearchEngine:
             rt.set_trace(outcome.stats.to_dict())
         with _maybe_span(rt, "audit"):
             self._maybe_audit(
-                query, query_text, scheme, ctx, outcome, top_k, faults
+                query, query_text, scheme, outcome, top_k, faults
             )
         self._record_query(query_text, scheme.name, outcome, elapsed, top_k)
         if outcome.audit is not None:
@@ -602,7 +570,6 @@ class SearchEngine:
         query: Query,
         query_text: str,
         scheme: ScoringScheme,
-        ctx: ScoringContext,
         outcome: SearchOutcome,
         top_k: int | None,
         faults: "FaultInjector | None",
@@ -629,11 +596,10 @@ class SearchEngine:
             scheme,
             query,
             [(r.doc_id, r.score) for r in outcome.results],
-            ctx=ctx,
+            ctx=self.scoring_context(),
             top_k=top_k,
             tolerance=config.tolerance,
             rewrite_log=outcome.rewrite_log,
-            applied=outcome.applied_optimizations,
             query_text=query_text,
             collection=self.collection,
             oracle_max_docs=config.oracle_max_docs,
@@ -1047,27 +1013,11 @@ class SearchEngine:
     def loaded_generation(self) -> str | None:
         """The store generation this engine's state came from.
 
-        ``None`` for purely in-memory engines.  A reader comparing this
-        against :meth:`current_generation` of the same directory can
-        tell whether a writer has checkpointed past it — the reopen
-        trigger of the query service's hot swap (:mod:`repro.serve`).
+        ``None`` for purely in-memory engines.  The query service pins
+        this generation against store GC for as long as a reader serves
+        it (:mod:`repro.serve`).
         """
         return self._loaded_generation
-
-    @staticmethod
-    def current_generation(directory) -> str | None:
-        """The generation the store's manifest currently names.
-
-        A cheap manifest read (one small file, self-checksummed), cheap
-        enough to poll; returns ``None`` when ``directory`` is not a
-        store.  Readers use it to decide whether :meth:`load` would see
-        anything newer than what they already hold.
-        """
-        from repro.index.store import IndexStore
-
-        if not IndexStore.is_store(directory):
-            return None
-        return IndexStore.open(directory).manifest.generation
 
     @classmethod
     def _load_from_store(

@@ -433,7 +433,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             index, scheme, query, ranked,
             top_k=args.top_k,
             rewrite_log=result.rewrites,
-            applied=result.applied,
             query_text=args.query,
         )
     elif args.audit:

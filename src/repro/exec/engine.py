@@ -134,8 +134,7 @@ def execute(
     Results are sorted by descending score, ties broken by ascending doc
     id; ``top_k`` (which must be >= 1) keeps the first ``k`` of that
     order — selected with a bounded heap, which is ``sorted(...)[:k]`` by
-    definition, ties included (rank-join based early termination lives
-    in :mod:`repro.exec.topk`).
+    definition, ties included.
 
     Under a resource guard with ``on_limit="partial"``, a tripped limit
     ends the scan early and the documents scored so far are ranked and

@@ -47,9 +47,6 @@ class _CompiledPred:
         self.structural = self.impl.structural
 
     def holds(self, row: tuple, sentence_starts: tuple[int, ...] = ()) -> bool:
-        # Hot path: one comprehension + one tuple() per candidate row
-        # (a generator expression here is measurably slower — CPython
-        # specializes list comprehensions; see bench_pred_holds.py).
         positions = tuple([row[i] for i in self.indices])
         if ANY_POSITION in positions:
             raise ExecutionError(

@@ -193,36 +193,13 @@ def diff_rankings(
 def _suspect_rules(
     scheme: "ScoringScheme", fired: Sequence[str]
 ) -> tuple[str, ...]:
-    """Fired rules the real Table-1 matrix forbids for this scheme.
-
-    A rule name outside the matrix (e.g. the composite
-    ``rank-join-topk`` path marker) is never a suspect by itself.
-    """
-    from repro.errors import OptimizationError
+    """Fired rules the real Table-1 matrix forbids for this scheme."""
     from repro.graft.validity import optimization_allowed
 
-    suspects = []
-    for name in fired:
-        # "join-reordering(cost)" and friends: strip the variant suffix.
-        base = name.split("(", 1)[0]
-        try:
-            allowed = optimization_allowed(base, scheme.properties)
-        except OptimizationError:
-            continue
-        if not allowed:
-            suspects.append(name)
-    return tuple(suspects)
-
-
-def fired_rule_names(
-    rewrite_log: Sequence["RewriteEvent"], applied: Sequence[str] = ()
-) -> tuple[str, ...]:
-    """The rules that actually changed the plan, preferring the
-    structured rewrite log and falling back to the flat applied list
-    (the rank-join path produces no rewrite log)."""
-    if rewrite_log:
-        return tuple(e.rule for e in rewrite_log if e.applied)
-    return tuple(applied)
+    return tuple(
+        name for name in fired
+        if not optimization_allowed(name, scheme.properties)
+    )
 
 
 def shadow_audit(
@@ -235,7 +212,6 @@ def shadow_audit(
     top_k: int | None = None,
     tolerance: float = 1e-7,
     rewrite_log: Sequence["RewriteEvent"] = (),
-    applied: Sequence[str] = (),
     query_text: str = "",
     collection: "DocumentCollection | None" = None,
     oracle_max_docs: int = 0,
@@ -256,7 +232,7 @@ def shadow_audit(
 
     if not query_text:
         query_text = unparse(query)
-    fired = fired_rule_names(rewrite_log, applied)
+    fired = tuple(e.rule for e in rewrite_log if e.applied)
     canonical = Optimizer(scheme, index).canonical(query)
     runtime = make_runtime(index, scheme, canonical.info, ctx)
     want = execute(canonical.plan, runtime, top_k=top_k)

@@ -95,7 +95,7 @@ class TestOneIndexFormat:
         loaded = SearchEngine.load(store)
         for text in TINY_QUERIES:
             for kwargs in ({"optimize": False},
-                           {"use_rank_join": True, "top_k": 3}):
+                           {"scheme": "anysum", "top_k": 3}):
                 assert [(r.doc_id, r.score)
                         for r in loaded.search(text, **kwargs)] == \
                     [(r.doc_id, r.score)

@@ -96,7 +96,7 @@ def test_parsed_query_objects_bypass_the_cache(engine):
     assert engine.cache_stats()["plan"]["size"] == 0
 
 
-def test_limits_profile_and_rank_join_skip_result_tier(engine):
+def test_limits_and_profile_skip_result_tier(engine):
     from repro.exec.limits import QueryLimits
 
     engine.search("quick fox")
@@ -107,11 +107,6 @@ def test_limits_profile_and_rank_join_skip_result_tier(engine):
     profiled = engine.search("quick fox", profile=True)
     assert not profiled.result_cached
     assert profiled.stats is not None
-    ranked = engine.search(
-        "quick fox", scheme="anysum", top_k=3, use_rank_join=True
-    )
-    assert not ranked.result_cached
-    assert ranked.applied_optimizations == ["rank-join-topk"]
 
 
 def test_cached_outcome_is_a_fresh_object(engine):

@@ -259,22 +259,18 @@ def test_partial_matches_does_not_raise(adversarial_engine):
     assert isinstance(out, list)
 
 
-def test_rank_join_path_respects_limits(engine):
-    full = engine.search("quick dog", scheme="anysum", top_k=3, use_rank_join=True)
-    assert "rank-join-topk" in full.applied_optimizations
+def test_top_k_search_respects_limits(engine):
     with pytest.raises(ResourceExhaustedError):
         engine.search(
             "quick dog",
             scheme="anysum",
             top_k=3,
-            use_rank_join=True,
             limits=QueryLimits(max_rows=2),
         )
     partial = engine.search(
         "quick dog",
         scheme="anysum",
         top_k=3,
-        use_rank_join=True,
         limits=QueryLimits(max_rows=2, on_limit="partial"),
     )
     assert partial.degraded

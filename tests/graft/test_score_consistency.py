@@ -1,7 +1,7 @@
 """Score consistency (Definition 1) — the paper's central invariant.
 
 For every scoring scheme and every plan the optimizer can produce (all
-option subsets, including forward-scan joins and rank joins where valid),
+option subsets, including forward-scan joins where valid),
 the (document, score) results must equal those of the reference semantics
 — the brute-force oracle matches aggregated per Section 4.  Checked on
 fixed workloads and on hypothesis-generated random corpora and queries.

@@ -107,11 +107,8 @@ def test_audit_respects_top_k(engine):
     assert outcome.audit is not None and outcome.audit.ok
 
 
-def test_audit_covers_rank_join_path(engine):
-    outcome = engine.search(
-        "quick fox", scheme="anysum", top_k=3, use_rank_join=True
-    )
-    assert outcome.applied_optimizations == ["rank-join-topk"]
+def test_audit_covers_anysum_top_k(engine):
+    outcome = engine.search("quick fox", scheme="anysum", top_k=3)
     assert outcome.audit is not None
     assert outcome.audit.ok, outcome.audit.describe()
 
@@ -198,7 +195,7 @@ def test_shadow_audit_counts_into_registry(tiny_index, tiny_collection):
     )
     event = shadow_audit(
         tiny_index, scheme, query, ranked,
-        rewrite_log=result.rewrites, applied=result.applied,
+        rewrite_log=result.rewrites,
         registry=registry,
     )
     assert event.ok

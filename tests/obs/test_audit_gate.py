@@ -45,11 +45,8 @@ def test_top_k_truncation_is_score_consistent(strict_engine, scheme_name):
     assert outcome.audit is not None and outcome.audit.ok
 
 
-def test_rank_join_path_is_score_consistent(strict_engine):
-    outcome = strict_engine.search(
-        "quick fox", scheme="anysum", top_k=3, use_rank_join=True
-    )
-    assert outcome.applied_optimizations == ["rank-join-topk"]
+def test_anysum_top_k_is_score_consistent(strict_engine):
+    outcome = strict_engine.search("quick fox", scheme="anysum", top_k=3)
     assert outcome.audit is not None and outcome.audit.ok
 
 

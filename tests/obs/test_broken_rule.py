@@ -117,7 +117,7 @@ def test_divergence_counted_per_suspect_rule(monkeypatch):
     registry = MetricsRegistry()
     event = shadow_audit(
         index, scheme, query, ranked,
-        rewrite_log=broken.rewrites, applied=broken.applied,
+        rewrite_log=broken.rewrites,
         registry=registry,
     )
     assert not event.ok
@@ -132,7 +132,7 @@ def test_divergence_counted_per_suspect_rule(monkeypatch):
     ranked_ok = execute(honest.plan, make_runtime(index, scheme, honest.info))
     ok_event = shadow_audit(
         index, scheme, query, ranked_ok,
-        rewrite_log=honest.rewrites, applied=honest.applied,
+        rewrite_log=honest.rewrites,
         registry=registry,
     )
     assert ok_event.ok

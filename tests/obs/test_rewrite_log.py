@@ -45,8 +45,8 @@ def test_every_fired_rule_logged_with_costs(engine, scheme_name):
             assert event.summary, event.rule
 
 
-#: The algebraic rewrite pipeline (rank-join / rank-union / zigzag-join
-#: are top-k execution strategies chosen outside this pipeline).
+#: The algebraic rewrite pipeline (Table 1's rank-join / rank-union /
+#: zigzag-join rows are not rules of this pipeline).
 PIPELINE_RULES = {
     "selection-pushing",
     "join-reordering",

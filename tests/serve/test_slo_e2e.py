@@ -12,6 +12,7 @@ way); ``/metrics`` advertises the Prometheus exposition content type;
 from __future__ import annotations
 
 import asyncio
+import gc
 import io
 import json
 import time
@@ -208,7 +209,16 @@ def test_slo_breaches_under_fault_and_recovers(tmp_path):
             await client.close()
             await server.stop()
 
-    breach, recovery, svc_status = asyncio.run(run())
+    # Recovery needs eight uninjected requests under the 10 ms objective.
+    # In a full test session the heap holds every earlier test's objects
+    # (about 250 000), and one full collection of them takes about 20 ms:
+    # landing inside a request, it alone breaches the objective.  Freezing
+    # the heap leaves the collector only this test's own objects.
+    gc.freeze()
+    try:
+        breach, recovery, svc_status = asyncio.run(run())
+    finally:
+        gc.unfreeze()
 
     assert breach["breaching"] is True
     assert breach["fast_burn_breaching"] is True

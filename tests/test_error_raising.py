@@ -15,7 +15,6 @@ from repro.baselines.rigid import decompose_rigid
 from repro.exec.engine import make_runtime
 from repro.exec.faults import FaultInjector, FaultSpec
 from repro.exec.limits import QueryLimits
-from repro.exec.topk import rank_topk
 from repro.ma.nodes import PlanNode
 from repro.mcalc.parser import parse_query
 from repro.sa.registry import get_scheme
@@ -75,9 +74,10 @@ def raise_plan_error(engine):
 
 
 def raise_optimization_error(engine):
-    # A phrase query carries predicates: the rank-join path must refuse it.
-    query = parse_query('"quick dog"', engine.collection.analyzer)
-    rank_topk(query, get_scheme("anysum"), engine.index, 3)
+    # Table 1: alternate elimination needs a constant scheme.
+    from repro.graft.validity import require_allowed
+
+    require_allowed("alternate-elimination", get_scheme("sumbest").properties)
 
 
 def raise_execution_error(engine):
